@@ -17,8 +17,6 @@ applies verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polynomials import MultiPoly
 
 # A module term is (exponent tuple, component index); a vector is a dict
@@ -295,25 +293,11 @@ def polys_from_vector(vec, rank, num_vars, p):
     return tuple(polys)
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """The fixed module monomial order (not configurable in v1)."""
-
-    base: str = "grevlex"
-    component_rule: str = "position-over-term"
-
-
-DEFAULT_ORDER = ModuleOrder()
-
-
-def groebner_basis(generators, target_twists, p, order=DEFAULT_ORDER,
-                   num_vars=None):
+def groebner_basis(generators, target_twists, p, num_vars=None):
     """Public entry point: generators as tuples of MultiPoly.
 
     Returns the reduced Groebner basis, again as tuples of MultiPoly.
     """
-    if order != DEFAULT_ORDER:
-        raise ValueError("only the default module order is supported")
     rank = len(target_twists)
     if num_vars is None:
         num_vars = next((f.num_vars for col in generators for f in col

@@ -319,15 +319,6 @@ class MultiPoly:
         return format_poly(self)
 
 
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Ring arithmetic dispatcher: op is 'add' or 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def frobenius_poly(f: MultiPoly, e: int) -> MultiPoly:
     """Apply the ring endomorphism c -> c^{p^e}, x_i -> x_i^{p^e}.
 

@@ -282,6 +282,18 @@ def hilbert_polynomial(module: GradedModule):
     return out
 
 
+def hilbert_function(module: GradedModule, d: int) -> int:
+    """dim_k M_d, by additivity along the cached minimal resolution.
+
+    dim M_d = sum_k (-1)^k dim (F_k)_d; the dense rank of the presentation
+    piece (``GradedModule.hilbert_function``) is kept as the test oracle.
+    """
+    res = minimal_resolution(module)
+    nv = module.num_vars
+    return sum((-1) ** k * free_piece_dimension(nv, res.module_twists(k), d)
+               for k in range(res.length + 1))
+
+
 def evaluate_polynomial(coeffs, d: int):
     total = Fraction(0)
     for i, c in enumerate(reversed(coeffs)):

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from frobamp import catalog
-from frobamp.cohomology import (bott_oracle, cohomology_table,
+from frobamp.cohomology import (_mumford_scan, bott_oracle, cohomology_table,
                                 euler_characteristic_matches_hilbert,
                                 generated_in_degrees, minreg_areg,
                                 reg_of_space, regularity, sheaf_cohomology)
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
-                             free_module, zero_module)
+                             free_module, tensor, zero_module)
 from frobamp.polynomials import MultiPoly
 
 
@@ -96,6 +96,20 @@ def test_serre_duality_line_bundles():
         assert sheaf_cohomology(o, 0, d) == sheaf_cohomology(o, 2, -d - 3)
 
 
+def test_wide_window_never_builds_a_dense_module_piece(monkeypatch):
+    # the dense piece of T⊗T at d = 20 would be 36800 x 16192; h^0 must come
+    # from the resolution instead
+    def dense(self, d):
+        raise AssertionError("dense Hilbert function called")
+
+    monkeypatch.setattr(GradedModule, "hilbert_function", dense)
+    t = catalog.tangent_bundle(5, 3)
+    tt = tensor(t, t)
+    table = cohomology_table(tt, 0, 20)
+    assert table.h[0][-1] == 22379
+    assert euler_characteristic_matches_hilbert(tt, table)
+
+
 def test_euler_characteristic_matches_hilbert_polynomial():
     for m in (catalog.tangent_bundle(3, 2), catalog.point_ideal(3),
               catalog.form_bundle(3, 2, 1), catalog.irrelevant_ideal(3, 2)):
@@ -155,6 +169,8 @@ def test_regularity_zero_dimensional_support():
                        MultiPoly.variable(nv, p, 1)),))
     rep = regularity(GradedModule(pres))
     assert rep.sheaf_regularity is None
+    # P^0 itself; a scan for reg(O) there would never stop
+    assert regularity(catalog.structure_sheaf(p, 0)).sheaf_regularity is None
 
 
 def test_regularity_rejects_zero_sheaf():
@@ -163,8 +179,11 @@ def test_regularity_rejects_zero_sheaf():
 
 
 def test_reg_of_space_is_one():
-    assert reg_of_space(3, 2) == 1
-    assert reg_of_space(4, 5) == 1
+    for nv in (2, 3, 4):
+        for p in (2, 3, 5):
+            assert reg_of_space(nv, p) == 1
+            # the constant agrees with an independent Mumford scan of O
+            assert max(1, _mumford_scan(free_module(p, nv, (0,)), 0)) == 1
 
 
 def test_resolution_regularity_estimate():
@@ -199,6 +218,18 @@ def test_minreg_negative_line_bundle_diverges():
         assert rep.minreg_upper_bound == 1
     with pytest.raises(ValueError):
         minreg_areg(catalog.structure_sheaf(2, 2), -1)
+
+
+def test_minreg_zero_dimensional_support_is_constant():
+    # R/(x0, x1): a point, so every pullback has regularity None
+    p, nv = 3, 3
+    pres = GradedMap(p, nv, (0,), (1, 1),
+                     ((MultiPoly.variable(nv, p, 0),
+                       MultiPoly.variable(nv, p, 1)),))
+    rep = minreg_areg(GradedModule(pres), 2)
+    assert rep.regularities == (None, None, None)
+    assert rep.trend == "constant"
+    assert rep.minreg_upper_bound is None
 
 
 def test_global_generation_checks():

@@ -123,9 +123,6 @@ def test_public_groebner_basis_wrapper():
                            num_vars=nv)
     assert len(basis) == 1
     assert basis[0][0] == x(0, nv, p)
-    from frobamp.groebner import ModuleOrder
-    with pytest.raises(ValueError):
-        groebner_basis([], (0,), p, order=ModuleOrder(base="lex"))
 
 
 def test_reduced_basis_is_deterministic():

@@ -4,8 +4,7 @@ import pytest
 
 from frobamp.polynomials import (MAX_EXPONENT, MultiPoly, PrimeFieldScalar,
                                  format_poly, frobenius_poly, grevlex_key,
-                                 is_prime, monomials_of_degree, parse_poly,
-                                 poly_arith)
+                                 is_prime, monomials_of_degree, parse_poly)
 
 
 def poly(text, num_vars=3, p=3):
@@ -123,16 +122,12 @@ def test_homogeneity_preserved():
         assert frobenius_poly(f, 1).degree() == 15
 
 
-def test_poly_arith_dispatch_and_errors():
-    f, g = poly("x0"), poly("x1")
-    assert poly_arith(f, g, "add") == poly("x0 + x1")
-    assert poly_arith(f, g, "mul") == poly("x0*x1")
+def test_arith_rejects_mismatched_rings():
+    f = poly("x0")
     with pytest.raises(ValueError):
-        poly_arith(f, g, "sub")
+        f + parse_poly("x0", 3, 5)  # modulus mismatch
     with pytest.raises(ValueError):
-        poly_arith(f, parse_poly("x0", 3, 5), "add")  # modulus mismatch
-    with pytest.raises(ValueError):
-        poly_arith(f, parse_poly("x0", 2, 3), "add")  # num_vars mismatch
+        f * parse_poly("x0", 2, 3)  # num_vars mismatch
 
 
 def test_grevlex_order():

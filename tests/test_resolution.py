@@ -1,11 +1,16 @@
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from frobamp import catalog
-from frobamp.modules import GradedMap, GradedModule
+from frobamp.modules import (GradedMap, GradedModule, direct_sum,
+                             frobenius_module, tensor, twist)
 from frobamp.polynomials import MultiPoly
 from frobamp.resolution import (evaluate_polynomial, free_resolution,
-                                generic_rank, hilbert_polynomial,
-                                minimal_resolution, sheaf_is_zero, syzygy_map)
+                                generic_rank, hilbert_function,
+                                hilbert_polynomial, minimal_resolution,
+                                sheaf_is_zero, syzygy_map)
 
 
 def test_free_module_resolution_is_trivial():
@@ -120,3 +125,57 @@ def test_truncated_resolution_respects_cap():
     m = catalog.irrelevant_ideal(3, 3)
     res = free_resolution(m, max_length=1)
     assert res.length <= 1
+
+
+# -- Hilbert function from the resolution against the dense oracle -----------
+
+def _matches_dense_oracle(module):
+    return all(hilbert_function(module, d) == module.hilbert_function(d)
+               for d in range(-8, 9))
+
+
+def test_hilbert_function_matches_dense_oracle():
+    p = 5
+    t3 = catalog.tangent_bundle(p, 3)
+    for module in (catalog.point_ideal(p),
+                   catalog.irrelevant_ideal(p, 3),   # unsaturated
+                   catalog.form_bundle(p, 3, 1),
+                   tensor(t3, t3),
+                   direct_sum([catalog.tangent_bundle(p, 2),
+                               catalog.point_ideal(p),
+                               catalog.line_bundle(p, 2, -1)]),
+                   frobenius_module(catalog.irrelevant_ideal(p, 2), 1)):
+        assert _matches_dense_oracle(module), module
+
+
+def _catalog_bundles(p, n):
+    """Locally free catalog modules on P^n, n in {1, 2}."""
+    out = [catalog.tangent_bundle(p, n), catalog.line_bundle_sum(p, n, [0, 2]),
+           catalog.line_bundle(p, n, 1), catalog.line_bundle(p, n, -2)]
+    if n == 2:
+        out.insert(1, catalog.form_bundle(p, n, 1))
+    return out
+
+
+@st.composite
+def catalog_expressions(draw):
+    """A catalog bundle (or the irrelevant ideal) under twists, sums, tensors."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.sampled_from((1, 2)))
+    bundles = _catalog_bundles(p, n)
+    module = draw(st.sampled_from([catalog.irrelevant_ideal(p, n)] + bundles))
+    for op in draw(st.lists(st.sampled_from(("tensor", "sum", "twist")),
+                            min_size=1, max_size=3)):
+        if op == "twist":
+            module = twist(module, draw(st.integers(-3, 3)))
+        elif op == "sum":
+            module = direct_sum([module, draw(st.sampled_from(bundles))])
+        else:
+            module = tensor(module, draw(st.sampled_from(bundles)))
+    return module
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(catalog_expressions())
+def test_hilbert_function_matches_dense_oracle_on_catalog(module):
+    assert _matches_dense_oracle(module)
