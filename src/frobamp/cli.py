@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .amplitude import f_amplitude
@@ -124,12 +123,7 @@ def _cmd_famp(args, rep: Reporter):
     if not primes:
         primes = [_load(args).prime]
     rep.meta("famp", primes, file_digest(args.module))
-    jobs = primes
-    if args.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda p: _famp_one(args, p), jobs))
-    else:
-        results = [_famp_one(args, p) for p in jobs]
+    results = [_famp_one(args, p) for p in primes]
     for p, report in results:
         rep.emit({"record": "famp", "prime": p, "phi": report.phi,
                   "f_ample": report.f_ample},
@@ -266,7 +260,6 @@ def build_parser():
     def common(sp, module_arg=True, prime=True):
         sp.add_argument("--format", choices=("text", "structured"),
                         default="text")
-        sp.add_argument("--threads", type=int, default=1)
         if prime:
             sp.add_argument("--prime", "-p", type=int, action="append",
                             help="prime modulus (repeatable where a sweep "
@@ -330,9 +323,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     rep = Reporter(structured=(args.format == "structured"))
     try:
         return args.fn(args, rep)

@@ -273,7 +273,7 @@ def syzygies(generators, twists, p, num_vars, degrees=None):
 
 # -- conversions between vectors and tuples of MultiPoly --------------------
 
-def vectors_from_polys(columns, num_vars, p):
+def vectors_from_polys(columns):
     """Convert columns given as sequences of MultiPoly into sparse vectors."""
     vecs = []
     for col in columns:
@@ -286,11 +286,10 @@ def vectors_from_polys(columns, num_vars, p):
 
 
 def polys_from_vector(vec, rank, num_vars, p):
-    polys = []
-    for comp in range(rank):
-        terms = {exps: v for (exps, c), v in vec.items() if c == comp}
-        polys.append(MultiPoly(num_vars, p, terms))
-    return tuple(polys)
+    terms = [{} for _ in range(rank)]
+    for (exps, comp), v in vec.items():
+        terms[comp][exps] = v
+    return tuple(MultiPoly(num_vars, p, t) for t in terms)
 
 
 def groebner_basis(generators, target_twists, p, num_vars=None):
@@ -304,6 +303,6 @@ def groebner_basis(generators, target_twists, p, num_vars=None):
                          if not f.is_zero()), None)
         if num_vars is None:
             return []
-    vecs = vectors_from_polys(generators, num_vars, p)
+    vecs = vectors_from_polys(generators)
     basis = buchberger(vecs, tuple(target_twists), p)
     return [polys_from_vector(v, rank, num_vars, p) for v in basis]

@@ -75,28 +75,18 @@ class GradedMap:
 
     def column_vectors(self):
         """Columns as sparse Groebner vectors in the target free module."""
-        cols = []
-        for c in range(self.source_rank):
-            vec = {}
-            for r in range(self.target_rank):
-                for exps, v in self.entries[r][c].terms.items():
-                    vec[(exps, r)] = v
-            cols.append(vec)
-        return cols
+        return groebner.vectors_from_polys(
+            [row[c] for row in self.entries] for c in range(self.source_rank))
 
     @classmethod
     def from_column_vectors(cls, prime, num_vars, target_twists, columns,
                             column_degrees):
-        rows = []
-        for r in range(len(target_twists)):
-            row = []
-            for vec in columns:
-                terms = {exps: v for (exps, comp), v in vec.items()
-                         if comp == r}
-                row.append(MultiPoly(num_vars, prime, terms))
-            rows.append(tuple(row))
+        cols = [groebner.polys_from_vector(vec, len(target_twists), num_vars,
+                                           prime) for vec in columns]
+        rows = tuple(tuple(col[r] for col in cols)
+                     for r in range(len(target_twists)))
         return cls(prime, num_vars, tuple(target_twists),
-                   tuple(column_degrees), tuple(rows))
+                   tuple(column_degrees), rows)
 
     @classmethod
     def zero_map(cls, prime, num_vars, target_twists, source_twists):

@@ -2,12 +2,18 @@
 
 The construction is the classical iterated-syzygy one: starting from the
 presentation, compute a Groebner-basis generating set of the kernel of the
-last map, splice it on, and repeat.  After each step the new differential is
-minimalized by cancelling unit (degree-zero) entries; cancelling a unit at
-position (r, c) performs a Schur-complement update on the map, deletes
-generator c of the source and generator r of the target, and deletes the
-corresponding column of the previous differential (which the complex
-property forces to become zero - asserted, not assumed).
+last map, splice it on, and repeat.  Every differential is kept as the list
+of its columns, in the Groebner engine's sparse vector form, and becomes a
+``GradedMap`` only once the chain is complete.
+
+After each step the new differential is minimalized.  Cancelling a unit
+(degree-zero) entry at (r, c) is a column step: every other column loses
+the multiple of column c that clears its row r, then column c and target
+generator r are dropped, together with column r of the previous
+differential (which the complex property forces to be redundant - the
+product of that map with column c is asserted to vanish, not assumed).  A
+column that cancellation has reduced to zero is then dropped too: a zero
+vector is a redundant generator of the kernel (graded Nakayama).
 
 Over F_p[x_0..x_n] every graded module has projective dimension at most
 n + 1, so the minimal chain always terminates within num_vars maps.
@@ -23,74 +29,51 @@ from math import factorial
 from . import groebner
 from .linalg import rank_mod
 from .modules import GradedMap, GradedModule, free_piece_dimension
-from .polynomials import MultiPoly
 
 
-class _MapData:
-    """Mutable matrix + twist lists used while building a resolution."""
-
-    def __init__(self, tt, st, ent):
-        self.tt = list(tt)
-        self.st = list(st)
-        self.ent = [list(row) for row in ent]
-
-    @classmethod
-    def from_map(cls, gm: GradedMap):
-        return cls(gm.target_twists, gm.source_twists, gm.entries)
-
-    def to_map(self, prime, num_vars) -> GradedMap:
-        return GradedMap(prime, num_vars, tuple(self.tt), tuple(self.st),
-                         tuple(tuple(row) for row in self.ent))
-
-    def find_unit(self):
-        for r, row in enumerate(self.ent):
-            for c, f in enumerate(row):
-                if not f.is_zero() and f.degree() == 0:
-                    return r, c
-        return None
+def _first_unit(cols, zero):
+    """Position (r, c) of the first unit entry in row-major order, or None."""
+    units = [(r, c) for c, vec in enumerate(cols)
+             for exps, r in vec if exps == zero]
+    return min(units, default=None)
 
 
-def _cancel_unit(md: _MapData, left: _MapData, r: int, c: int, p: int):
-    u = next(iter(md.ent[r][c].terms.values()))
-    uinv = pow(u, p - 2, p)
-    pivot_col = [md.ent[rr][c] for rr in range(len(md.tt))]
-    pivot_row = md.ent[r]
-    new_ent = []
-    for rr in range(len(md.tt)):
-        if rr == r:
-            continue
-        row = []
-        for cc in range(len(md.st)):
-            if cc == c:
-                continue
-            f = md.ent[rr][cc] - pivot_col[rr].scale(uinv) * pivot_row[cc]
-            row.append(f)
-        new_ent.append(row)
+def _cancel_unit(cols, sources, targets, left, r, c, zero, p):
+    """Cancel the unit entry (r, c) of the map with columns ``cols``.
+
+    ``sources`` and ``targets`` are the twist lists of its source and
+    target; ``targets`` is also the source list of the previous map, whose
+    columns are ``left`` (None for the presentation).
+    """
+    pivot = cols.pop(c)
+    del sources[c]
+    uinv = pow(pivot[(zero, r)], p - 2, p)
+    for i, col in enumerate(cols):
+        row = [(exps, v) for (exps, comp), v in col.items() if comp == r]
+        for exps, v in row:
+            groebner.vec_sub_multiple(col, v * uinv, exps, pivot, p)
+        cols[i] = {(exps, comp - (comp > r)): v
+                   for (exps, comp), v in col.items()}
+    del targets[r]
     if left is not None:
         # the cancelled target generator is u^{-1} * (image of source gen c);
         # the previous differential kills it, so its adjusted column vanishes
-        for ltrow in left.ent:
-            combo = ltrow[r]
-            for rr in range(len(md.tt)):
-                if rr != r:
-                    combo = combo + ltrow[rr] * pivot_col[rr].scale(uinv)
-            if not combo.is_zero():
-                raise AssertionError(
-                    "complex property violated during minimalization")
-        for ltrow in left.ent:
-            del ltrow[r]
-        del left.st[r]
-    del md.tt[r]
-    del md.st[c]
-    md.ent = new_ent
+        image = {}
+        for (exps, comp), v in pivot.items():
+            groebner.vec_sub_multiple(image, -v, exps, left[comp], p)
+        if image:
+            raise AssertionError(
+                "complex property violated during minimalization")
+        del left[r]
 
 
-def _minimalize_last(md: _MapData, left, p: int):
-    while True:
-        pos = md.find_unit()
-        if pos is None:
-            return
-        _cancel_unit(md, left, pos[0], pos[1], p)
+def _minimalize(cols, sources, targets, left, zero, p):
+    """Cancel every unit entry, then drop the columns reduced to zero."""
+    while (pos := _first_unit(cols, zero)) is not None:
+        _cancel_unit(cols, sources, targets, left, *pos, zero, p)
+    kept = [c for c, vec in enumerate(cols) if vec]
+    cols[:] = [cols[c] for c in kept]
+    sources[:] = [sources[c] for c in kept]
 
 
 @dataclass(frozen=True)
@@ -191,45 +174,33 @@ def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
     """
     p = module.prime
     nv = module.num_vars
+    zero = (0,) * nv
     cap = max_length if max_length is not None else nv + 1
-    pres = _MapData.from_map(module.presentation)
-    _minimalize_last(pres, None, p)
-    chain = [pres]
-    while chain[-1].st and len(chain) < max(cap, 1):
-        last = chain[-1]
-        cols = last.to_map(p, nv).column_vectors()
-        syz, syz_degs = groebner.syzygies(cols, tuple(last.tt), p, nv,
-                                          degrees=tuple(last.st))
+    pres = module.presentation
+    # maps[k] has source twists[k + 1] and target twists[k]; a target list
+    # is the previous map's source list, so cancellation edits both at once
+    twists = [list(pres.target_twists), list(pres.source_twists)]
+    maps = [pres.column_vectors()]
+    _minimalize(maps[0], twists[1], twists[0], None, zero, p)
+    while twists[-1] and len(maps) < max(cap, 1):
+        syz, syz_degs = groebner.syzygies(maps[-1], tuple(twists[-2]), p, nv,
+                                          degrees=tuple(twists[-1]))
         if not syz:
             break
-        # nxt.tt starts equal to last.st; unit cancellation deletes from
-        # both in lockstep, keeping the chain composable
-        nxt = _MapData(list(last.st), syz_degs, _vectors_to_rows(
-            syz, len(last.st), nv, p))
-        _minimalize_last(nxt, last, p)
-        if not nxt.st:
+        _minimalize(syz, syz_degs, twists[-1], maps[-1], zero, p)
+        if not syz_degs:
             break
-        chain.append(nxt)
-    f0 = tuple(pres.tt)
-    maps = [md.to_map(p, nv) for md in chain]
-    while maps and maps[-1].source_rank == 0:
+        maps.append(syz)
+        twists.append(syz_degs)
+    if not twists[-1]:
         maps.pop()
-    res = FreeResolution(f0, tuple(maps))
+    res = FreeResolution(tuple(twists[0]), tuple(
+        GradedMap.from_column_vectors(p, nv, twists[k], cols, twists[k + 1])
+        for k, cols in enumerate(maps)))
     if max_length is None and res.length > nv:
         raise AssertionError(
             f"resolution length {res.length} exceeds the syzygy bound {nv}")
     return res
-
-
-def _vectors_to_rows(vectors, rank, num_vars, p):
-    rows = []
-    for r in range(rank):
-        row = []
-        for vec in vectors:
-            terms = {exps: v for (exps, comp), v in vec.items() if comp == r}
-            row.append(MultiPoly(num_vars, p, terms))
-        rows.append(row)
-    return rows
 
 
 def minimal_resolution(module: GradedModule) -> FreeResolution:

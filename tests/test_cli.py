@@ -24,7 +24,7 @@ def test_famp_text_output(capsys):
 
 
 def test_famp_multi_prime_sweep(capsys):
-    code, out, _ = run(capsys, "famp", "-p", "2", "-p", "3", "--threads", "2",
+    code, out, _ = run(capsys, "famp", "-p", "2", "-p", "3",
                        str(MODFILES / "tangent_p2.mod"))
     assert code == 0
     assert "prime 2: phi = 1" in out
@@ -137,9 +137,6 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "frobsplit", "--n", "1", "--d", "2",
                        "--i", "5")
     assert code == 2 and "outside" in err
-    code, _, err = run(capsys, "famp", "--threads", "0",
-                       str(MODFILES / "tangent_p2.mod"))
-    assert code == 2
 
 
 def test_exit_code_1_on_failed_checks(capsys, monkeypatch):

@@ -27,7 +27,7 @@ def test_term_order_is_position_over_term():
 
 def test_monomial_generators_already_a_basis():
     # ideal of a point on P^1 over F_2
-    gens = vectors_from_polys([(x(0, 2),), (x(1, 2),)], 2, 2)
+    gens = vectors_from_polys([(x(0, 2),), (x(1, 2),)])
     basis = buchberger(gens, (0,), 2)
     leads = sorted(leading_term(g) for g in basis)
     assert leads == [(((0, 1), 0)), (((1, 0), 0))]
@@ -38,7 +38,7 @@ def test_buchberger_criterion_on_nontrivial_ideal():
     p, nv = 3, 3
     f = parse_poly("x0^2 + x1*x2", nv, p)
     g = parse_poly("x1^2", nv, p)
-    gens = vectors_from_polys([(f,), (g,)], nv, p)
+    gens = vectors_from_polys([(f,), (g,)])
     basis = buchberger(gens, (0,), p)
     assert buchberger_criterion_holds(basis, (0,), p)
     # both generators lie in the submodule spanned by the basis
@@ -55,10 +55,10 @@ def test_empty_generators():
 def test_normal_form_is_canonical():
     p, nv = 3, 2
     f = parse_poly("x0^2 - x1^2", nv, p)
-    gens = vectors_from_polys([(f,)], nv, p)
+    gens = vectors_from_polys([(f,)])
     basis = buchberger(gens, (0,), p)
     g = parse_poly("x0^4", nv, p)
-    nf = normal_form(vectors_from_polys([(g,)], nv, p)[0], basis, p)
+    nf = normal_form(vectors_from_polys([(g,)])[0], basis, p)
     # x0^4 = (x0^2 + x1^2)(x0^2 - x1^2) + x1^4
     assert nf == {((0, 4), 0): 1}
 
@@ -66,7 +66,7 @@ def test_normal_form_is_canonical():
 def test_koszul_syzygy_of_two_variables():
     # generators x0, x1 of an ideal on P^1: single relation (x1, -x0)
     p, nv = 3, 2
-    gens = vectors_from_polys([(x(0, nv, p),), (x(1, nv, p),)], nv, p)
+    gens = vectors_from_polys([(x(0, nv, p),), (x(1, nv, p),)])
     syz, degs = syzygies(gens, (0,), p, nv, degrees=(1, 1))
     assert degs == [2]
     assert len(syz) == 1
@@ -81,7 +81,7 @@ def test_koszul_syzygy_of_two_variables():
 def test_single_nonzerodivisor_has_no_syzygies():
     p, nv = 5, 3
     f = parse_poly("x0^2 + x1*x2", nv, p)
-    gens = vectors_from_polys([(f,)], nv, p)
+    gens = vectors_from_polys([(f,)])
     syz, _ = syzygies(gens, (0,), p, nv, degrees=(2,))
     assert syz == []
 
@@ -98,7 +98,7 @@ def test_syzygies_kill_generators():
             terms = {rng.choice(monos): rng.randrange(1, p)
                      for _ in range(2)}
             cols.append((MultiPoly(nv, p, terms),))
-        gens = vectors_from_polys(cols, nv, p)
+        gens = vectors_from_polys(cols)
         degrees = tuple(c[0].degree() for c in cols)
         syz, _ = syzygies(gens, (0,), p, nv, degrees=degrees)
         for s in syz:
@@ -114,7 +114,7 @@ def test_inhomogeneous_input_rejected():
     p, nv = 2, 2
     f = parse_poly("x0 + x0^2", nv, p)
     with pytest.raises(ValueError):
-        buchberger(vectors_from_polys([(f,)], nv, p), (0,), p)
+        buchberger(vectors_from_polys([(f,)]), (0,), p)
 
 
 def test_public_groebner_basis_wrapper():
@@ -129,7 +129,7 @@ def test_reduced_basis_is_deterministic():
     p, nv = 5, 3
     polys = [parse_poly(s, nv, p) for s in
              ("x0^2 + x1*x2", "x1^2 - x0*x2", "x2^2 + 2*x0*x1")]
-    gens = vectors_from_polys([(f,) for f in polys], nv, p)
+    gens = vectors_from_polys([(f,) for f in polys])
     b1 = buchberger(gens, (0,), p)
     b2 = buchberger(list(reversed(gens)), (0,), p)
     assert b1 == b2

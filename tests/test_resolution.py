@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from frobamp import catalog
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              frobenius_module, tensor, twist)
-from frobamp.polynomials import MultiPoly
+from frobamp.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from frobamp.resolution import (evaluate_polynomial, free_resolution,
                                 generic_rank, hilbert_function,
                                 hilbert_polynomial, minimal_resolution,
@@ -179,3 +179,69 @@ def catalog_expressions(draw):
 @given(catalog_expressions())
 def test_hilbert_function_matches_dense_oracle_on_catalog(module):
     assert _matches_dense_oracle(module)
+
+
+# -- the length-4 defect: syzygies cancelled to zero in the last map ---------
+
+def _betti(res):
+    return tuple(tuple(sorted(res.module_twists(k)))
+                 for k in range(res.length + 1))
+
+
+def test_three_cubics_resolve_within_the_syzygy_bound():
+    # the three cubics on P^2 over F_3 that the benchmark's random_ideal
+    # draws from random.Random(3); cancellation reduces a syzygy of the last
+    # step to zero, which must be dropped, not kept as a fourth map
+    # R(-11) -> R(-8)^2
+    p, nv = 3, 3
+    cubics = ("2*x0^2*x1 + 2*x0*x1^2 + x0^2*x2 + 2*x0*x1*x2 + x1^2*x2"
+              " + 2*x0*x2^2 + 2*x1*x2^2",
+              "2*x0^3 + x0*x1^2 + x1^3 + 2*x0^2*x2 + 2*x0*x2^2 + x1*x2^2"
+              " + 2*x2^3",
+              "2*x0^3 + x0^2*x1 + x0*x1^2 + 2*x1^3 + 2*x1^2*x2 + 2*x1*x2^2"
+              " + x2^3")
+    row = tuple(parse_poly(f, nv, p) for f in cubics)
+    res = free_resolution(GradedModule(GradedMap(p, nv, (0,), (3, 3, 3),
+                                                 (row,))))
+    assert _betti(res) == ((0,), (3, 3, 3), (6, 6, 6), (9,))
+    assert res.is_minimal()
+    assert res.compositions_are_zero()
+    assert res.degreewise_exact()
+
+
+@st.composite
+def _form(draw, p, nv, degree):
+    monos = monomials_of_degree(nv, degree)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                           max_size=len(monos)))
+    return MultiPoly(nv, p, dict(zip(monos, coeffs)))
+
+
+@st.composite
+def random_ideals_and_matrices(draw):
+    """R/I for 2-3 forms of degree 2-3, or a 2x3 or 3x4 linear matrix.
+
+    Both on P^2; the coefficients are not filtered, so zero forms occur.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nv = 3
+    if draw(st.booleans()):
+        degrees = tuple(draw(st.lists(st.sampled_from((2, 3)),
+                                      min_size=2, max_size=3)))
+        row = tuple(draw(_form(p, nv, d)) for d in degrees)
+        return GradedModule(GradedMap(p, nv, (0,), degrees, (row,)))
+    rows, cols = draw(st.sampled_from(((2, 3), (3, 4))))
+    entries = tuple(tuple(draw(_form(p, nv, 1)) for _ in range(cols))
+                    for _ in range(rows))
+    return GradedModule(GradedMap(p, nv, (0,) * rows, (1,) * cols, entries))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(random_ideals_and_matrices())
+def test_random_resolutions_are_minimal_exact_and_short(module):
+    res = free_resolution(module)
+    assert res.is_minimal()
+    assert res.compositions_are_zero()
+    assert res.degreewise_exact()
+    assert res.length <= module.num_vars
+    assert _betti(res) == _betti(free_resolution(module, max_length=8))
