@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-import numpy as np
-
 from . import groebner
 from .cohomology import CohomologyTable, cohomology_table, regularity
 from .modules import GradedModule, ModuleHom, frobenius_module
@@ -141,6 +139,8 @@ def check_exact_sequence_bounds(first: ModuleHom, second: ModuleHom,
     injectivity, surjectivity and middle exactness on the degree window
     before any amplitude is trusted.
     """
+    import numpy as np
+
     e1, e2 = first.source, first.target
     e3 = second.target
     if second.source is not e2 and second.source != e2:

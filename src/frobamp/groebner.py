@@ -12,10 +12,17 @@ entirely on the trailing block are exactly a basis of the syzygy module.
 Buchberger's algorithm with the chain criterion is used throughout; the
 coprimality (product) criterion is applied only when both elements are
 supported in a single component, where the classical ideal-case proof
-applies verbatim.
+applies verbatim.  Each basis element's leading term is computed once, when
+the element is added, and filed in a per-component lead index.  S-pairs
+leave a heap in a fixed priority order (degree, then the term order of the
+lcm, then the pair's indices), so runs are deterministic.  One heap-driven
+reducer, ``_reduce``, serves Buchberger, interreduction and
+``normal_form``.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .polynomials import MultiPoly
 
@@ -73,22 +80,55 @@ def normal_form(vec, basis, p):
     Every term of the result is reducible by no basis leading term; for a
     Groebner basis this is the canonical representative mod the submodule.
     """
-    by_comp = {}
-    for g in basis:
-        lt = leading_term(g)
-        by_comp.setdefault(lt[1], []).append((lt, g))
+    return _reduce(vec, _lead_index(basis, map(leading_term, basis)), p)
+
+
+def _lead_index(basis, leads):
+    """Map each component to the (lead exponents, vector) pairs of
+    ``basis`` whose leading term lies in it, in basis order."""
+    index = {}
+    for g, (exps, comp) in zip(basis, leads):
+        index.setdefault(comp, []).append((exps, g))
+    return index
+
+
+def _reduce(vec, lead_index, p):
+    """Full normal form of ``vec`` by the monic vectors of ``lead_index``.
+
+    Each term is reduced by the first vector in index order whose lead
+    divides it.  Terms leave a heap largest first, keyed by
+    (comp, -degree, reversed exponents), which orders terms exactly
+    opposite to ``term_key``.  Every term that appears is pushed once and
+    keeps its entry in ``work``; one cancelled to zero is skipped when it
+    comes off, and one that comes back before then is still queued.  A
+    reduction only adds terms below the one it removes, so the result is
+    built in decreasing term order.
+    """
     work = dict(vec)
+    heap = [(comp, -sum(exps), exps[::-1], exps) for exps, comp in work]
+    heapify(heap)
     result = {}
-    while work:
-        t = max(work, key=term_key)
-        c = work.pop(t)
-        exps, comp = t
-        for (lexps, _), g in by_comp.get(comp, ()):
+    while heap:
+        comp, _, _, exps = heappop(heap)
+        t = (exps, comp)
+        c = work[t]
+        if not c:
+            continue
+        for lexps, g in lead_index.get(comp, ()):
             if all(x <= y for x, y in zip(lexps, exps)):
                 shift = tuple(y - x for x, y in zip(lexps, exps))
-                # g is monic, so the reduction coefficient is just c
-                work[t] = c
-                vec_sub_multiple(work, c, shift, g, p)
+                # g is monic, so the reduction coefficient is just c, and
+                # the term t cancels
+                for (gexps, gcomp), v in g.items():
+                    uexps = tuple(a + b for a, b in zip(gexps, shift))
+                    u = (uexps, gcomp)
+                    old = work.get(u)
+                    if old is None:
+                        work[u] = -c * v % p
+                        heappush(heap, (gcomp, -sum(uexps), uexps[::-1],
+                                        uexps))
+                    else:
+                        work[u] = (old - c * v) % p
                 break
         else:
             result[t] = c
@@ -106,8 +146,8 @@ def _canonical_sort_key(vec, twists):
             tuple(sorted(vec.items())))
 
 
-def _s_pair(f, g, p):
-    (fa, comp), (ga, _) = leading_term(f), leading_term(g)
+def _s_pair(f, fa, g, ga, p):
+    """S-vector of monic ``f`` and ``g`` with lead exponents ``fa``, ``ga``."""
     lcm = tuple(max(a, b) for a, b in zip(fa, ga))
     s = {}
     vec_sub_multiple(s, p - 1, tuple(l - a for l, a in zip(lcm, fa)), f, p)
@@ -134,78 +174,70 @@ def buchberger(generators, twists, p):
     gens.sort(key=lambda g: _canonical_sort_key(g, twists))
 
     basis = []
+    leads = []  # leading term of each basis element
     pure = []  # supported in a single component
-    pairs = set()
-
-    def lt(i):
-        return leading_term(basis[i])
+    lead_index = {}
+    pairs = set()  # pending pairs, for the chain criterion
+    queue = []  # the same pairs as a heap of (degree, lcm key, i, j, lcm)
 
     def add_element(vec):
         j = len(basis)
+        ja, jc = lead = leading_term(vec)
         basis.append(vec)
+        leads.append(lead)
         pure.append(_single_component(vec))
-        (ja, jc) = lt(j)
+        lead_index.setdefault(jc, []).append((ja, vec))
         for i in range(j):
-            (ia, ic) = lt(i)
+            ia, ic = leads[i]
             if ic != jc:
                 continue
             if (pure[i] and pure[j]
                     and all(min(a, b) == 0 for a, b in zip(ia, ja))):
                 continue  # coprime leads in an embedded ideal: S-pair drops
+            lcm = tuple(max(a, b) for a, b in zip(ia, ja))
             pairs.add((i, j))
-        return j
+            heappush(queue, (sum(lcm) + twists[jc], term_key((lcm, jc)),
+                             i, j, lcm))
 
     for g in gens:
         add_element(g)
 
-    def pair_priority(pair):
-        i, j = pair
-        (ia, c), (ja, _) = lt(i), lt(j)
-        lcm = tuple(max(a, b) for a, b in zip(ia, ja))
-        return (sum(lcm) + twists[c], term_key((lcm, c)), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_priority)
+    while queue:
+        _, _, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        (ia, c), (ja, _) = lt(i), lt(j)
-        lcm = ((tuple(max(a, b) for a, b in zip(ia, ja))), c)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (term_divides(lt(k), lcm)
-                    and (min(i, k), max(i, k)) not in pairs
-                    and (min(j, k), max(j, k)) not in pairs):
-                skip = True
-                break
-        if skip:
-            continue
-        s = _s_pair(basis[i], basis[j], p)
-        h = normal_form(s, basis, p)
+        lcm_term = (lcm, leads[i][1])
+        if any(k != i and k != j and term_divides(lead, lcm_term)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, lead in enumerate(leads)):
+            continue  # chain criterion
+        s = _s_pair(basis[i], leads[i][0], basis[j], leads[j][0], p)
+        h = _reduce(s, lead_index, p)
         if h:
             add_element(_monic(h, p))
 
-    return _interreduce(basis, twists, p)
+    return _interreduce(basis, leads, twists, p)
 
 
-def _interreduce(basis, twists, p):
+def _interreduce(basis, leads, twists, p):
     # drop elements whose lead is divisible by another lead, then tail-reduce
     order = sorted(range(len(basis)),
                    key=lambda i: _canonical_sort_key(basis[i], twists))
     kept = []
     for i in order:
-        lt_i = leading_term(basis[i])
-        if any(term_divides(leading_term(basis[j]), lt_i)
-               for j in kept if j != i):
+        if any(term_divides(leads[j], leads[i]) for j in kept):
             continue
         kept.append(i)
+    # A homogeneous vector's lead divides none of its other terms, nor any
+    # term its tail reduces to, so one index of all survivors serves every
+    # survivor's tail.
+    index = _lead_index([basis[i] for i in kept], [leads[i] for i in kept])
     reduced = []
-    survivors = [basis[i] for i in kept]
-    for idx, g in enumerate(survivors):
-        others = survivors[:idx] + survivors[idx + 1:]
-        h = normal_form(g, others, p) if others else dict(g)
-        if h:
-            reduced.append(_monic(h, p))
+    for i in kept:
+        tail = dict(basis[i])
+        h = {leads[i]: tail.pop(leads[i])}
+        h.update(_reduce(tail, index, p))
+        reduced.append(h)
     reduced.sort(key=lambda g: _canonical_sort_key(g, twists))
     return reduced
 
@@ -215,12 +247,14 @@ def buchberger_criterion_holds(basis, twists, p) -> bool:
     for g in basis:
         vector_degree(g, twists)
     monic = [_monic(g, p) for g in basis if g]
+    leads = [leading_term(g) for g in monic]
+    index = _lead_index(monic, leads)
     for i in range(len(monic)):
         for j in range(i + 1, len(monic)):
-            if leading_term(monic[i])[1] != leading_term(monic[j])[1]:
+            if leads[i][1] != leads[j][1]:
                 continue
-            s = _s_pair(monic[i], monic[j], p)
-            if normal_form(s, monic, p):
+            s = _s_pair(monic[i], leads[i][0], monic[j], leads[j][0], p)
+            if _reduce(s, index, p):
                 return False
     return True
 

@@ -9,11 +9,15 @@ computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def as_mod_array(rows, p) -> np.ndarray:
+    import numpy as np
+
     a = np.array(rows, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
@@ -22,6 +26,8 @@ def as_mod_array(rows, p) -> np.ndarray:
 
 def rank_mod(matrix, p: int) -> int:
     """Rank of a matrix over F_p via Gaussian elimination."""
+    import numpy as np
+
     a = as_mod_array(matrix, p)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
@@ -52,6 +58,8 @@ def rank_mod(matrix, p: int) -> int:
 
 def rref_mod(matrix, p: int):
     """Reduced row echelon form over F_p; returns (array, pivot columns)."""
+    import numpy as np
+
     a = as_mod_array(matrix, p)
     rows, cols = a.shape
     pivots = []
@@ -81,6 +89,8 @@ def rref_mod(matrix, p: int):
 
 def row_space_contains(matrix, vector, p: int) -> bool:
     """Whether ``vector`` lies in the row space of ``matrix`` over F_p."""
+    import numpy as np
+
     a = as_mod_array(matrix, p)
     v = as_mod_array([vector], p)
     if a.shape[0] == 0:

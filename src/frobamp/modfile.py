@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 
-import yaml
-
 from .modules import GradedMap, GradedModule
 from .polynomials import format_poly, is_prime, parse_poly
 
@@ -36,6 +34,8 @@ def _expect_int_list(doc, key):
 
 def loads_module(text: str, prime: int | None = None) -> GradedModule:
     """Parse a module document; ``prime`` reinterprets the matrix mod p."""
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -14,14 +14,16 @@ cohomology) are meant to be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import groebner
 from .linalg import rank_mod
 from .polynomials import (MultiPoly, check_prime, count_monomials,
                           frobenius_poly, monomial_index,
                           monomials_of_degree)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,14 @@ class GradedMap:
     @classmethod
     def from_column_vectors(cls, prime, num_vars, target_twists, columns,
                             column_degrees):
-        cols = [groebner.polys_from_vector(vec, len(target_twists), num_vars,
-                                           prime) for vec in columns]
+        # one tuple object per distinct exponent vector in the map; a
+        # resolution repeats each one about four times
+        canon = {}
+        cols = [groebner.polys_from_vector(
+                    {(canon.setdefault(exps, exps), comp): v
+                     for (exps, comp), v in vec.items()},
+                    len(target_twists), num_vars, prime)
+                for vec in columns]
         rows = tuple(tuple(col[r] for col in cols)
                      for r in range(len(target_twists)))
         return cls(prime, num_vars, tuple(target_twists),
@@ -121,6 +129,8 @@ class GradedMap:
         Rows are indexed by (target generator, monomial) pairs in a fixed
         deterministic order, columns likewise for the source.
         """
+        import numpy as np
+
         nv = self.num_vars
         row_offsets, nrows = [], 0
         for t in self.target_twists:
@@ -402,6 +412,8 @@ class ModuleHom:
 
     def degree_matrix(self, d: int) -> np.ndarray:
         """Matrix of M_d -> N_d in standard-monomial coordinates."""
+        import numpy as np
+
         src_basis = self.source.standard_monomials(d)
         tgt_basis = self.target.standard_monomials(d)
         a = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
@@ -453,6 +465,8 @@ def spot_check_constant_rank(pres: GradedMap, max_points=1000):
     space; a rank drop at a rational point refutes the flag.  Silently
     passes when the point count exceeds ``max_points``.
     """
+    import numpy as np
+
     if pres.source_rank == 0 or pres.target_rank == 0:
         return True, "free module"
     pts = projective_points(pres.num_vars, pres.prime)

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobamp.groebner import (buchberger, buchberger_criterion_holds,
                               groebner_basis, leading_term, normal_form,
-                              submodule_contains, syzygies, term_key,
+                              submodule_contains, syzygies, term_divides,
+                              term_key, vec_sub_multiple, vector_degree,
                               vectors_from_polys)
-from frobamp.polynomials import MultiPoly, parse_poly
+from frobamp.polynomials import MultiPoly, monomials_of_degree, parse_poly
 
 
 def vec(items):
@@ -61,6 +65,18 @@ def test_normal_form_is_canonical():
     nf = normal_form(vectors_from_polys([(g,)])[0], basis, p)
     # x0^4 = (x0^2 + x1^2)(x0^2 - x1^2) + x1^4
     assert nf == {((0, 4), 0): 1}
+
+
+def test_normal_form_when_a_cancelled_term_returns():
+    # reducing x0^2 by x0^2 + x1^2 cancels the x1^2 of v; reducing x0*x1
+    # by x0*x1 + x1^2 then brings it back
+    p, nv = 2, 3
+    gens = vectors_from_polys([(parse_poly("x0^2 + x1^2", nv, p),),
+                               (parse_poly("x0*x1 + x1^2", nv, p),)])
+    basis = buchberger(gens, (0,), p)
+    assert sorted(basis, key=leading_term) == sorted(gens, key=leading_term)
+    v = vectors_from_polys([(parse_poly("x0^2 + x0*x1 + x1^2", nv, p),)])[0]
+    assert normal_form(v, basis, p) == {((0, 2, 0), 0): 1}
 
 
 def test_koszul_syzygy_of_two_variables():
@@ -176,3 +192,88 @@ def test_random_module_generators_stress():
                     key = (tuple(a + b for a, b in zip(exps, ge)), gc)
                     acc[key] = (acc.get(key, 0) + v * gv) % p
             assert all(c == 0 for c in acc.values()), trial
+
+
+@st.composite
+def _coefficients(draw, p, count):
+    return draw(st.lists(st.integers(0, p - 1), min_size=count,
+                         max_size=count))
+
+
+@st.composite
+def random_form_ideals(draw):
+    """2-4 homogeneous forms of degree 1-3 in 3 variables over F_p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    forms = []
+    for degree in draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)):
+        monos = monomials_of_degree(3, degree)
+        coeffs = draw(_coefficients(p, len(monos)))
+        forms.append(MultiPoly(3, p, dict(zip(monos, coeffs))))
+    return p, forms
+
+
+def _monic_terms(terms, p):
+    terms = {e: c % p for e, c in terms.items() if c % p}
+    lead = max(terms, key=lambda e: term_key((e, 0)))
+    inv = pow(terms[lead], p - 2, p)
+    return frozenset((e, c * inv % p) for e, c in terms.items())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(random_form_ideals())
+def test_reduced_basis_matches_sympy_grevlex(case):
+    p, forms = case
+    xs = sympy.symbols("x0:3")
+    theirs = sympy.groebner(
+        [sympy.Poly.from_dict(dict(f.terms), *xs, modulus=p)
+         for f in forms], *xs, modulus=p, order="grevlex")
+    ours = groebner_basis([(f,) for f in forms], (0,), p, num_vars=3)
+    assert ({_monic_terms(f.terms, p) for (f,) in ours}
+            == {_monic_terms(g.as_dict(), p) for g in theirs.polys})
+
+
+@st.composite
+def rank_two_submodules(draw):
+    """Homogeneous generators in R(-t0) + R(-t1) on P^2, a vector of
+    degree 4, and (element, monomial, coefficient) picks of multiples."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    twists = draw(st.sampled_from(((0, 0), (0, 1), (1, 0))))
+
+    def vector(degree, terms_per_comp):
+        vec = {}
+        for comp, t in enumerate(twists):
+            monos = monomials_of_degree(3, degree - t)
+            picks = draw(st.lists(st.sampled_from(monos),
+                                  max_size=terms_per_comp))
+            coeffs = draw(_coefficients(p, len(picks)))
+            vec.update({(m, comp): c for m, c in zip(picks, coeffs) if c})
+        return vec
+
+    gens = [vector(draw(st.sampled_from((2, 3))), 3)
+            for _ in range(draw(st.integers(1, 3)))]
+    multiples = draw(st.lists(st.tuples(st.integers(0, 99),
+                                        st.integers(0, 99),
+                                        st.integers(1, p - 1)), max_size=4))
+    return p, twists, gens, vector(4, 6), multiples
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(rank_two_submodules())
+def test_normal_form_is_irreducible_and_constant_on_cosets(case):
+    p, twists, gens, v, multiples = case
+    basis = buchberger(gens, twists, p)
+    nf = normal_form(v, basis, p)
+    leads = [leading_term(g) for g in basis]
+    assert not any(term_divides(lt, t) for lt in leads for t in nf)
+    # v + sum c x^a g: a term of v may cancel, then come back in reduction
+    w = dict(v)
+    fits = [g for g in basis if vector_degree(g, twists) <= 4]
+    for b, m, c in multiples:
+        if fits:
+            g = fits[b % len(fits)]
+            monos = monomials_of_degree(3, 4 - vector_degree(g, twists))
+            vec_sub_multiple(w, -c, monos[m % len(monos)], g, p)
+    assert normal_form(w, basis, p) == nf
+    v_minus_nf = dict(v)
+    vec_sub_multiple(v_minus_nf, 1, (0, 0, 0), nf, p)
+    assert normal_form(v_minus_nf, basis, p) == {}
