@@ -208,10 +208,7 @@ def _cmd_resolve(args, rep: Reporter):
     rep.meta("resolve", [module.prime], file_digest(args.module))
     res = minimal_resolution(module)
     lines = []
-    for k in range(res.length + 1):
-        counts = {}
-        for t in res.module_twists(k):
-            counts[t] = counts.get(t, 0) + 1
+    for k, counts in res.betti_numbers().items():
         rep.emit({"record": "betti", "index": k,
                   "twists": {str(t): c for t, c in sorted(counts.items())}},
                  None)

@@ -13,7 +13,8 @@ Groebner pass per module serves every (i, d): dim M_d is the alternating sum
 of free-module dimensions along the same resolution, and each Ext piece is a
 dense mod-p rank of a dualized differential, cached per degree.  The dense
 rank of the presentation piece (``GradedModule.hilbert_function``) is only
-a test oracle.
+a test oracle.  A dualized differential is the transpose of a map's
+columns, built directly in the same sparse column form.
 
 The regularity of a sheaf is the least m making all higher cohomology of the
 properly twisted sheaf vanish; sheaves with zero-dimensional support satisfy
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from math import comb, inf
 
 from .linalg import rank_mod
-from .modules import GradedModule, free_piece_dimension
+from .modules import GradedMap, GradedModule, free_piece_dimension
 from .resolution import (evaluate_polynomial, hilbert_function,
                          hilbert_polynomial, minimal_resolution,
                          sheaf_is_zero)
@@ -38,16 +39,17 @@ def _dual_maps(module: GradedModule):
     cached = module._cache.get("dual_maps")
     if cached is not None:
         return cached
-    from .modules import GradedMap
     res = minimal_resolution(module)
     nv = module.num_vars
     duals = []
     for k, m in enumerate(res.maps):
         tt = tuple(nv - t for t in m.source_twists)
         st = tuple(nv - t for t in res.module_twists(k))
-        entries = tuple(tuple(m.entries[r][c] for r in range(m.target_rank))
-                        for c in range(m.source_rank))
-        duals.append(GradedMap(module.prime, nv, tt, st, entries))
+        cols = [{} for _ in st]
+        for c, vec in enumerate(m.columns):
+            for (exps, r), v in vec.items():
+                cols[r][(exps, c)] = v
+        duals.append(GradedMap.from_columns(module.prime, nv, tt, st, cols))
     out = (res, tuple(duals))
     module._cache["dual_maps"] = out
     return out

@@ -103,10 +103,11 @@ def dumps_module(module: GradedModule) -> str:
         f"source_twists: [{', '.join(map(str, pres.source_twists))}]",
         "matrix:",
     ]
-    for row in pres.entries:
+    rows = pres.entries
+    for row in rows:
         cells = ", ".join(f'"{format_poly(f)}"' for f in row)
         lines.append(f"  - [{cells}]")
-    if not pres.entries:
+    if not rows:
         lines[-1] = "matrix: []"
     if module.locally_free:
         lines.append("locally_free: true")

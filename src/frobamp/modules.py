@@ -6,6 +6,12 @@ map.  The stored twist lists are the generator degrees: generator r of the
 target sits in degree t_r, and entry (r, c) is zero or homogeneous of degree
 s_c - t_r.
 
+A map stores only its columns, in the Groebner engine's sparse vector form
+{(exps, r): residue}, so resolutions, composition, the functors and the
+relation Groebner basis all work on one representation.  The matrix of
+``MultiPoly`` entries is a derived view, built on demand for printing,
+Frobenius pullback and point evaluation.
+
 Modules are never normalized behind the caller's back; two presentations of
 isomorphic modules compare unequal, and only invariants (Hilbert data,
 cohomology) are meant to be compared.
@@ -18,49 +24,91 @@ from typing import TYPE_CHECKING
 
 from . import groebner
 from .linalg import rank_mod
-from .polynomials import (MultiPoly, check_prime, count_monomials,
-                          frobenius_poly, monomial_index,
-                          monomials_of_degree)
+from .polynomials import (check_prime, count_monomials, frobenius_poly,
+                          monomial_index, monomials_of_degree)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GradedMap:
-    """Homogeneous matrix ⊕_c R(-source_twists[c]) -> ⊕_r R(-target_twists[r])."""
+    """Homogeneous matrix ⊕_c R(-source_twists[c]) -> ⊕_r R(-target_twists[r]).
+
+    The map is stored as its columns only: ``columns[c]`` is the image of
+    source generator c, a sparse Groebner vector {(exps, r): residue} in
+    the target free module.  Columns are shared, never edited in place;
+    code that needs to edit one copies it first.
+    """
 
     prime: int
     num_vars: int
     target_twists: tuple
     source_twists: tuple
-    entries: tuple  # rows of tuples of MultiPoly; one row per target generator
+    columns: tuple = field(hash=False, repr=False)
 
-    def __post_init__(self):
-        check_prime(self.prime)
-        object.__setattr__(self, "target_twists", tuple(self.target_twists))
-        object.__setattr__(self, "source_twists", tuple(self.source_twists))
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != len(self.target_twists):
+    def __init__(self, prime, num_vars, target_twists, source_twists,
+                 entries):
+        """Build the map from its matrix, given as one row per target
+        generator of MultiPoly entries; every entry is validated."""
+        check_prime(prime)
+        target_twists = tuple(target_twists)
+        source_twists = tuple(source_twists)
+        rows = tuple(tuple(row) for row in entries)
+        if len(rows) != len(target_twists):
             raise ValueError(
-                f"{len(rows)} rows for {len(self.target_twists)} target twists")
+                f"{len(rows)} rows for {len(target_twists)} target twists")
+        columns = [{} for _ in source_twists]
         for r, row in enumerate(rows):
-            if len(row) != len(self.source_twists):
+            if len(row) != len(source_twists):
                 raise ValueError(
                     f"row {r} has {len(row)} entries for "
-                    f"{len(self.source_twists)} source twists")
+                    f"{len(source_twists)} source twists")
             for c, f in enumerate(row):
-                if f.modulus != self.prime or f.num_vars != self.num_vars:
+                if f.modulus != prime or f.num_vars != num_vars:
                     raise ValueError(
                         f"matrix entry ({r}, {c}): ring mismatch")
                 if f.is_zero():
                     continue
-                want = self.source_twists[c] - self.target_twists[r]
+                want = source_twists[c] - target_twists[r]
                 if not f.is_homogeneous() or f.degree() != want:
                     raise ValueError(
                         f"matrix entry ({r}, {c}): expected homogeneous of "
                         f"degree {want}, got {f}")
+                for exps, v in f.terms.items():
+                    columns[c][(exps, r)] = v
+        self._set(prime, num_vars, target_twists, source_twists, columns)
+
+    @classmethod
+    def from_columns(cls, prime, num_vars, target_twists, source_twists,
+                     columns):
+        """The map with the given column vectors, taken as valid (they are
+        copied, with equal terms shared)."""
+        gm = cls.__new__(cls)
+        gm._set(prime, num_vars, tuple(target_twists), tuple(source_twists),
+                columns)
+        return gm
+
+    def _set(self, prime, num_vars, target_twists, source_twists, columns):
+        # one tuple object per distinct term and per distinct exponent
+        # vector in the map; a resolution repeats each about four times
+        exps_seen, terms_seen = {}, {}
+        cols = []
+        for vec in columns:
+            col = {}
+            for term, v in vec.items():
+                t = terms_seen.get(term)
+                if t is None:
+                    exps, r = term
+                    t = terms_seen[term] = (
+                        exps_seen.setdefault(exps, exps), r)
+                col[t] = v
+            cols.append(col)
+        for name, value in (("prime", prime), ("num_vars", num_vars),
+                            ("target_twists", target_twists),
+                            ("source_twists", source_twists),
+                            ("columns", tuple(cols))):
+            object.__setattr__(self, name, value)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -72,56 +120,36 @@ class GradedMap:
     def source_rank(self):
         return len(self.source_twists)
 
-    def entry(self, r, c) -> MultiPoly:
-        return self.entries[r][c]
-
-    def column_vectors(self):
-        """Columns as sparse Groebner vectors in the target free module."""
-        return groebner.vectors_from_polys(
-            [row[c] for row in self.entries] for c in range(self.source_rank))
-
-    @classmethod
-    def from_column_vectors(cls, prime, num_vars, target_twists, columns,
-                            column_degrees):
-        # one tuple object per distinct exponent vector in the map; a
-        # resolution repeats each one about four times
-        canon = {}
-        cols = [groebner.polys_from_vector(
-                    {(canon.setdefault(exps, exps), comp): v
-                     for (exps, comp), v in vec.items()},
-                    len(target_twists), num_vars, prime)
-                for vec in columns]
-        rows = tuple(tuple(col[r] for col in cols)
-                     for r in range(len(target_twists)))
-        return cls(prime, num_vars, tuple(target_twists),
-                   tuple(column_degrees), rows)
+    @property
+    def entries(self):
+        """The matrix, one row of MultiPoly per target generator (derived)."""
+        cols = [groebner.polys_from_vector(vec, self.target_rank,
+                                           self.num_vars, self.prime)
+                for vec in self.columns]
+        return tuple(tuple(col[r] for col in cols)
+                     for r in range(self.target_rank))
 
     @classmethod
     def zero_map(cls, prime, num_vars, target_twists, source_twists):
-        z = MultiPoly.zero(num_vars, prime)
-        rows = tuple(tuple(z for _ in source_twists) for _ in target_twists)
-        return cls(prime, num_vars, tuple(target_twists),
-                   tuple(source_twists), rows)
+        return cls.from_columns(prime, num_vars, target_twists,
+                                source_twists, [{} for _ in source_twists])
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self ∘ other (other's target must equal self's source)."""
         if other.target_twists != self.source_twists:
             raise ValueError("maps are not composable")
-        z = MultiPoly.zero(self.num_vars, self.prime)
-        rows = []
-        for r in range(self.target_rank):
-            row = []
-            for c in range(other.source_rank):
-                acc = z
-                for k in range(self.source_rank):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return GradedMap(self.prime, self.num_vars, self.target_twists,
-                         other.source_twists, tuple(rows))
+        p = self.prime
+        cols = []
+        for vec in other.columns:
+            acc = {}
+            for (exps, k), v in vec.items():
+                groebner.vec_sub_multiple(acc, -v, exps, self.columns[k], p)
+            cols.append(acc)
+        return GradedMap.from_columns(p, self.num_vars, self.target_twists,
+                                      other.source_twists, cols)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
+        return not any(self.columns)
 
     def degree_piece(self, d: int) -> np.ndarray:
         """The induced F_p-linear map on degree-d graded pieces.
@@ -140,18 +168,15 @@ class GradedMap:
         for s in self.source_twists:
             col_offsets.append(ncols)
             ncols += count_monomials(nv, d - s)
+        indices = [monomial_index(nv, d - t) for t in self.target_twists]
         a = np.zeros((nrows, ncols), dtype=np.int64)
         for c, s in enumerate(self.source_twists):
+            vec = self.columns[c]
             for mi, mono in enumerate(monomials_of_degree(nv, d - s)):
                 col = col_offsets[c] + mi
-                for r, t in enumerate(self.target_twists):
-                    f = self.entries[r][c]
-                    if f.is_zero():
-                        continue
-                    idx = monomial_index(nv, d - t)
-                    for exps, v in f.terms.items():
-                        shifted = tuple(a_ + b_ for a_, b_ in zip(exps, mono))
-                        a[row_offsets[r] + idx[shifted], col] = v
+                for (exps, r), v in vec.items():
+                    shifted = tuple(a_ + b_ for a_, b_ in zip(exps, mono))
+                    a[row_offsets[r] + indices[r][shifted], col] = v
         return a
 
 
@@ -176,7 +201,7 @@ class GradedModule:
         self._cache = {}
         if locally_free and spot_check:
             ok, detail = spot_check_constant_rank(presentation)
-            if not ok:
+            if ok is False:
                 raise ValueError(f"locally-free spot check failed: {detail}")
 
     # -- identity -----------------------------------------------------------
@@ -221,11 +246,18 @@ class GradedModule:
         """Groebner basis of the relation submodule (cached)."""
         gb = self._cache.get("column_gb")
         if gb is None:
-            gb = groebner.buchberger(self.presentation.column_vectors(),
+            gb = groebner.buchberger(self.presentation.columns,
                                      self.presentation.target_twists,
                                      self.prime)
             self._cache["column_gb"] = gb
         return gb
+
+    def relations_contain(self, gm: GradedMap) -> bool:
+        """Every column of ``gm`` lies in the relation submodule, so the
+        map gm composed with the quotient onto this module vanishes."""
+        gb = self.column_groebner()
+        return not any(groebner.normal_form(vec, gb, self.prime)
+                       for vec in gm.columns)
 
     def standard_monomials(self, d: int):
         """Monomial basis of M_d: terms outside the lead-term submodule."""
@@ -267,10 +299,10 @@ def zero_module(prime, num_vars) -> GradedModule:
 def twist(module: GradedModule, d: int) -> GradedModule:
     """M(d): all generator and relation degrees drop by d."""
     pres = module.presentation
-    shifted = GradedMap(pres.prime, pres.num_vars,
-                        tuple(t - d for t in pres.target_twists),
-                        tuple(s - d for s in pres.source_twists),
-                        pres.entries)
+    shifted = GradedMap.from_columns(pres.prime, pres.num_vars,
+                                     tuple(t - d for t in pres.target_twists),
+                                     tuple(s - d for s in pres.source_twists),
+                                     pres.columns)
     return GradedModule(shifted, module.locally_free, spot_check=False)
 
 
@@ -305,24 +337,15 @@ def direct_sum(modules, prime=None, num_vars=None) -> GradedModule:
     for m in mods[1:]:
         if m.prime != p or m.num_vars != nv:
             raise ValueError("direct sum of modules over different rings")
-    z = MultiPoly.zero(nv, p)
     tt = sum((m.presentation.target_twists for m in mods), ())
     st = sum((m.presentation.source_twists for m in mods), ())
-    rows = []
-    row_block = 0
-    col_starts = []
-    acc = 0
+    cols = []
+    offset = 0
     for m in mods:
-        col_starts.append(acc)
-        acc += m.presentation.source_rank
-    for bi, m in enumerate(mods):
-        for r in range(m.presentation.target_rank):
-            row = [z] * len(st)
-            for c in range(m.presentation.source_rank):
-                row[col_starts[bi] + c] = m.presentation.entries[r][c]
-            rows.append(tuple(row))
-        row_block += m.presentation.target_rank
-    pres = GradedMap(p, nv, tt, st, tuple(rows))
+        cols.extend({(exps, r + offset): v for (exps, r), v in vec.items()}
+                    for vec in m.presentation.columns)
+        offset += m.presentation.target_rank
+    pres = GradedMap.from_columns(p, nv, tt, st, cols)
     return GradedModule(pres, all(m.locally_free for m in mods),
                         spot_check=False)
 
@@ -335,23 +358,17 @@ def tensor(a: GradedModule, b: GradedModule) -> GradedModule:
     if not (a.locally_free or b.locally_free):
         raise ValueError("tensor requires at least one locally-free factor")
     p, nv = pa.prime, pa.num_vars
-    z = MultiPoly.zero(nv, p)
     ta, tb = pa.target_twists, pb.target_twists
     tt = tuple(x + y for x in ta for y in tb)
     st = (tuple(s + y for s in pa.source_twists for y in tb)
           + tuple(x + s for x in ta for s in pb.source_twists))
-    rows = []
-    for r1 in range(len(ta)):
-        for r2 in range(len(tb)):
-            row = []
-            for c1 in range(pa.source_rank):
-                for c2 in range(len(tb)):
-                    row.append(pa.entries[r1][c1] if c2 == r2 else z)
-            for c1 in range(len(ta)):
-                for c2 in range(pb.source_rank):
-                    row.append(pb.entries[r2][c2] if c1 == r1 else z)
-            rows.append(tuple(row))
-    pres = GradedMap(p, nv, tt, st, tuple(rows))
+    # generator (r1, r2) of the target is row r1 * len(tb) + r2
+    nb = len(tb)
+    cols = [{(exps, r1 * nb + r2): v for (exps, r1), v in vec.items()}
+            for vec in pa.columns for r2 in range(nb)]
+    cols += [{(exps, r1 * nb + r2): v for (exps, r2), v in vec.items()}
+             for r1 in range(len(ta)) for vec in pb.columns]
+    pres = GradedMap.from_columns(p, nv, tt, st, cols)
     return GradedModule(pres, a.locally_free and b.locally_free,
                         spot_check=False)
 
@@ -367,14 +384,11 @@ def restrict_hyperplane(module: GradedModule) -> GradedModule:
     if nv < 2:
         raise ValueError("cannot restrict below one variable")
 
-    def cut(f: MultiPoly) -> MultiPoly:
-        terms = {exps[:-1]: v for exps, v in f.terms.items()
-                 if exps[-1] == 0}
-        return MultiPoly(nv - 1, pres.prime, terms)
-
-    rows = tuple(tuple(cut(f) for f in row) for row in pres.entries)
-    cut_pres = GradedMap(pres.prime, nv - 1, pres.target_twists,
-                         pres.source_twists, rows)
+    cols = [{(exps[:-1], r): v for (exps, r), v in vec.items()
+             if exps[-1] == 0}
+            for vec in pres.columns]
+    cut_pres = GradedMap.from_columns(pres.prime, nv - 1, pres.target_twists,
+                                      pres.source_twists, cols)
     return GradedModule(cut_pres, module.locally_free, spot_check=False)
 
 
@@ -384,9 +398,9 @@ def restrict_hyperplane(module: GradedModule) -> GradedModule:
 class ModuleHom:
     """Degree-0 homomorphism between presented modules, given on generators.
 
-    ``entries[r][c]`` is the coefficient of target generator r in the image
-    of source generator c, homogeneous of degree (source gen degree) -
-    (target gen degree).
+    Column c of ``matrix`` is the image of source generator c in the
+    target's free module; entry (r, c) is homogeneous of degree (source gen
+    degree) - (target gen degree).
     """
 
     source: GradedModule = field(compare=False)
@@ -403,12 +417,8 @@ class ModuleHom:
 
     def is_well_defined(self) -> bool:
         """Images of the source relations must lie in the target relations."""
-        pushed = self.matrix.compose(self.source.presentation)
-        gb = self.target.column_groebner()
-        for vec in pushed.column_vectors():
-            if groebner.normal_form(vec, gb, self.target.prime):
-                return False
-        return True
+        return self.target.relations_contain(
+            self.matrix.compose(self.source.presentation))
 
     def degree_matrix(self, d: int) -> np.ndarray:
         """Matrix of M_d -> N_d in standard-monomial coordinates."""
@@ -418,26 +428,10 @@ class ModuleHom:
         tgt_basis = self.target.standard_monomials(d)
         a = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
         for j, (mono, comp) in enumerate(src_basis):
-            image = {}
-            for r in range(self.matrix.target_rank):
-                f = self.matrix.entries[r][comp]
-                for exps, v in f.terms.items():
-                    t = (tuple(x + y for x, y in zip(exps, mono)), r)
-                    image[t] = (image.get(t, 0) + v) % self.target.prime
-            col = self.target.coordinates(
-                {t: v for t, v in image.items() if v}, d)
-            a[:, j] = col
+            image = {(tuple(x + y for x, y in zip(exps, mono)), r): v
+                     for (exps, r), v in self.matrix.columns[comp].items()}
+            a[:, j] = self.target.coordinates(image, d)
         return a
-
-
-def identity_hom(module: GradedModule) -> ModuleHom:
-    p, nv = module.prime, module.num_vars
-    tw = module.presentation.target_twists
-    one = MultiPoly.constant(nv, p, 1)
-    z = MultiPoly.zero(nv, p)
-    entries = tuple(tuple(one if r == c else z for c in range(len(tw)))
-                    for r in range(len(tw)))
-    return ModuleHom.from_entries(module, module, entries)
 
 
 # -- locally-free spot check -------------------------------------------------
@@ -462,8 +456,10 @@ def spot_check_constant_rank(pres: GradedMap, max_points=1000):
     """Evaluate the presentation at rational points; constant rank expected.
 
     A locally free cokernel has constant corank at every point of projective
-    space; a rank drop at a rational point refutes the flag.  Silently
-    passes when the point count exceeds ``max_points``.
+    space; a rank drop at a rational point refutes the flag.  Returns
+    (status, detail): status is False on a refutation, True when the rank
+    is constant, and None when the check was skipped because the point
+    count exceeds ``max_points``.
     """
     import numpy as np
 
@@ -471,11 +467,12 @@ def spot_check_constant_rank(pres: GradedMap, max_points=1000):
         return True, "free module"
     pts = projective_points(pres.num_vars, pres.prime)
     if len(pts) > max_points:
-        return True, "skipped (too many points)"
+        return None, f"skipped ({len(pts)} points exceed {max_points})"
+    rows = pres.entries
     ranks = set()
     for pt in pts:
-        a = np.array([[f.evaluate(pt).value for f in row]
-                      for row in pres.entries], dtype=np.int64)
+        a = np.array([[f.evaluate(pt).value for f in row] for row in rows],
+                     dtype=np.int64)
         ranks.add(rank_mod(a, pres.prime))
     if len(ranks) > 1:
         return False, f"presentation rank varies over points: {sorted(ranks)}"

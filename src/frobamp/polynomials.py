@@ -204,11 +204,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_degree(self):
-        if not self.is_homogeneous():
-            raise ValueError(f"polynomial {self} is not homogeneous")
-        return self.degree()
-
     def coefficient(self, exps) -> PrimeFieldScalar:
         return PrimeFieldScalar(self.terms.get(tuple(exps), 0), self.modulus)
 

@@ -2,9 +2,11 @@
 
 The construction is the classical iterated-syzygy one: starting from the
 presentation, compute a Groebner-basis generating set of the kernel of the
-last map, splice it on, and repeat.  Every differential is kept as the list
-of its columns, in the Groebner engine's sparse vector form, and becomes a
-``GradedMap`` only once the chain is complete.
+last map, splice it on, and repeat.  Every differential is the list of its
+columns, in the Groebner engine's sparse vector form, which is also how a
+``GradedMap`` stores a map: the presentation's columns are copied once
+(minimalization edits them in place), and each finished differential
+becomes a ``GradedMap`` without conversion.
 
 After each step the new differential is minimalized.  Cancelling a unit
 (degree-zero) entry at (r, c) is a column step: every other column loses
@@ -110,8 +112,9 @@ class FreeResolution:
         return best
 
     def is_minimal(self) -> bool:
-        return all(f.is_zero() or f.degree() > 0
-                   for m in self.maps for row in m.entries for f in row)
+        """No differential has a nonzero constant (unit) entry."""
+        return all(any(exps) for m in self.maps for vec in m.columns
+                   for exps, _ in vec)
 
     def compositions_are_zero(self) -> bool:
         for a, b in zip(self.maps, self.maps[1:]):
@@ -159,11 +162,11 @@ def syzygy_map(gm: GradedMap) -> GradedMap:
     The returned map's target is gm's source; composing gm with it gives
     zero.  Raises on inhomogeneous input (via the Groebner layer).
     """
-    syz, syz_degs = groebner.syzygies(gm.column_vectors(), gm.target_twists,
+    syz, syz_degs = groebner.syzygies(gm.columns, gm.target_twists,
                                       gm.prime, gm.num_vars,
                                       degrees=gm.source_twists)
-    return GradedMap.from_column_vectors(gm.prime, gm.num_vars,
-                                         gm.source_twists, syz, syz_degs)
+    return GradedMap.from_columns(gm.prime, gm.num_vars, gm.source_twists,
+                                  syz_degs, syz)
 
 
 def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
@@ -180,7 +183,7 @@ def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
     # maps[k] has source twists[k + 1] and target twists[k]; a target list
     # is the previous map's source list, so cancellation edits both at once
     twists = [list(pres.target_twists), list(pres.source_twists)]
-    maps = [pres.column_vectors()]
+    maps = [[dict(vec) for vec in pres.columns]]
     _minimalize(maps[0], twists[1], twists[0], None, zero, p)
     while twists[-1] and len(maps) < max(cap, 1):
         syz, syz_degs = groebner.syzygies(maps[-1], tuple(twists[-2]), p, nv,
@@ -195,7 +198,7 @@ def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
     if not twists[-1]:
         maps.pop()
     res = FreeResolution(tuple(twists[0]), tuple(
-        GradedMap.from_column_vectors(p, nv, twists[k], cols, twists[k + 1])
+        GradedMap.from_columns(p, nv, twists[k], twists[k + 1], cols)
         for k, cols in enumerate(maps)))
     if max_length is None and res.length > nv:
         raise AssertionError(

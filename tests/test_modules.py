@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobamp import catalog
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              frobenius_module, projective_points,
                              restrict_hyperplane, spot_check_constant_rank,
                              tensor, twist, zero_module)
-from frobamp.polynomials import MultiPoly, parse_poly
+from frobamp.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from frobamp.cohomology import sheaf_cohomology
 
 
@@ -178,6 +180,23 @@ def test_spot_check_refutes_bad_flag():
         GradedModule(pres, locally_free=True)
 
 
+def test_spot_check_reports_a_skip_as_skipped():
+    # P^3 over F_11 has 1464 rational points, above the default 1000
+    p, nv = 11, 4
+    assert len(projective_points(nv, p)) == 1464
+    status, detail = spot_check_constant_rank(
+        catalog.tangent_bundle(p, 3).presentation)
+    assert status is None and detail.startswith("skipped")
+    # a skip is no refutation: the torsion sheaf of coker (x0) still loads
+    x0 = MultiPoly.variable(nv, p, 0)
+    pres = GradedMap(p, nv, (0,), (1,), ((x0,),))
+    assert spot_check_constant_rank(pres)[0] is None
+    GradedModule(pres, locally_free=True)
+    status, _ = spot_check_constant_rank(
+        catalog.tangent_bundle(3, 3).presentation)
+    assert status is True
+
+
 def test_module_coordinates_round_trip():
     m = catalog.point_ideal(3)
     basis = m.standard_monomials(2)
@@ -214,3 +233,50 @@ def test_frobenius_commutes_with_direct_sum():
     left = frobenius_module(direct_sum([a, b]), 1)
     right = direct_sum([frobenius_module(a, 1), frobenius_module(b, 1)])
     assert left.presentation == right.presentation
+
+
+@st.composite
+def _matrix(draw, p, nv, targets, sources):
+    """Random entries of the right degrees; coefficients are not filtered,
+    so zero entries occur."""
+    def entry(t, s):
+        monos = monomials_of_degree(nv, s - t)
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        return MultiPoly(nv, p, dict(zip(monos, coeffs)))
+    return tuple(tuple(entry(t, s) for s in sources) for t in targets)
+
+
+@st.composite
+def composable_maps(draw):
+    """A: F_1 -> F_0 and B: F_2 -> F_1 on P^2 with random twists."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nv = 3
+    twists = [tuple(draw(st.lists(st.integers(k, k + 2), min_size=1,
+                                  max_size=3)))
+              for k in range(3)]
+    a = GradedMap(p, nv, twists[0], twists[1],
+                  draw(_matrix(p, nv, twists[0], twists[1])))
+    b = GradedMap(p, nv, twists[1], twists[2],
+                  draw(_matrix(p, nv, twists[1], twists[2])))
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(composable_maps())
+def test_compose_is_the_matrix_product_and_entries_round_trip(maps):
+    a, b = maps
+    ab = a.compose(b)
+    zero = MultiPoly.zero(a.num_vars, a.prime)
+    product = tuple(
+        tuple(sum((a.entries[r][k] * b.entries[k][c]
+                   for k in range(a.source_rank)), zero)
+              for c in range(b.source_rank))
+        for r in range(a.target_rank))
+    assert ab.entries == product
+    assert (ab.target_twists, ab.source_twists) == (a.target_twists,
+                                                    b.source_twists)
+    assert ab.is_zero() == all(f.is_zero() for row in product for f in row)
+    for m in (a, b, ab):
+        assert GradedMap(m.prime, m.num_vars, m.target_twists,
+                         m.source_twists, m.entries) == m

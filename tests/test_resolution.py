@@ -209,6 +209,21 @@ def test_three_cubics_resolve_within_the_syzygy_bound():
     assert res.degreewise_exact()
 
 
+def test_resolving_a_unit_entry_leaves_the_presentation_unchanged():
+    # coker of [[1, x0], [0, x1]] is R/(x1); minimalization cancels the unit
+    # in place, on copies of the presentation's shared columns
+    p, nv = 5, 3
+    one = MultiPoly.constant(nv, p, 1)
+    x0, x1 = (MultiPoly.variable(nv, p, i) for i in range(2))
+    entries = ((one, x0), (MultiPoly.zero(nv, p), x1))
+    module = GradedModule(GradedMap(p, nv, (0, 0), (0, 1), entries))
+    columns = [dict(vec) for vec in module.presentation.columns]
+    res = free_resolution(module)
+    assert _betti(res) == ((0,), (1,))
+    assert [dict(vec) for vec in module.presentation.columns] == columns
+    assert module.presentation == GradedMap(p, nv, (0, 0), (0, 1), entries)
+
+
 @st.composite
 def _form(draw, p, nv, degree):
     monos = monomials_of_degree(nv, degree)
