@@ -10,11 +10,16 @@ modules, and graded local duality turns those into local cohomology,
 from which  h^i(~M(d)) = dim H^{i+1}_m(M)_d  for i >= 1, while h^0 corrects
 the module's own graded piece by the two lowest local cohomologies.  One
 Groebner pass per module serves every (i, d): dim M_d is the alternating sum
-of free-module dimensions along the same resolution, and each Ext piece is a
-dense mod-p rank of a dualized differential, cached per degree.  The dense
-rank of the presentation piece (``GradedModule.hilbert_function``) is only
-a test oracle.  A dualized differential is the transpose of a map's
-columns, built directly in the same sparse column form.
+of free-module dimensions along the same resolution, and each Ext piece
+needs the ranks of two dualized differentials.  A dualized differential is
+the transpose of a map's columns, built directly in the same sparse column
+form.  Its rank in degree e is the dimension of its image there, which by
+Macaulay's theorem is the number of degree-e monomials in the lead-term
+module of the image; one reduced Groebner basis per differential and the
+Hilbert numerator of each component's lead ideal give that count in every
+degree as a sum of binomials.  These ranks build no dense matrix and load
+no numpy; the dense ranks (``GradedMap.degree_piece``, and
+``GradedModule.hilbert_function`` for the module itself) are test oracles.
 
 The regularity of a sheaf is the least m making all higher cohomology of the
 properly twisted sheaf vanish; sheaves with zero-dimensional support satisfy
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, inf
 
+from .groebner import buchberger, hilbert_numerator, leading_term
 from .linalg import rank_mod
 from .modules import GradedMap, GradedModule, free_piece_dimension
 from .resolution import (evaluate_polynomial, hilbert_function,
@@ -55,14 +61,42 @@ def _dual_maps(module: GradedModule):
     return out
 
 
-def _dual_rank(module: GradedModule, k: int, e: int) -> int:
-    key = ("dual_rank", k, e)
+def _dual_numerators(module: GradedModule, k: int):
+    """(twist, Hilbert numerator of the lead-term ideal) for each target
+    component of the k-th dual differential that holds a lead, from one
+    reduced Groebner basis of its columns; cached on the module."""
+    key = ("dual_numerators", k)
     cached = module._cache.get(key)
     if cached is None:
         _, duals = _dual_maps(module)
-        cached = rank_mod(duals[k].degree_piece(e), module.prime)
+        dual = duals[k]
+        leads = {}
+        for g in buchberger(dual.columns, dual.target_twists, module.prime):
+            exps, r = leading_term(g)
+            leads.setdefault(r, []).append(exps)
+        cached = tuple((dual.target_twists[r], hilbert_numerator(monos))
+                       for r, monos in sorted(leads.items()))
         module._cache[key] = cached
     return cached
+
+
+def _monomials_in_ideal(numerator, num_vars: int, d: int) -> int:
+    """Number of degree-d monomials of F_p[x_1..x_num_vars] in the monomial
+    ideal whose quotient has Hilbert numerator ``numerator``."""
+    if d < 0:
+        return 0
+    n = num_vars - 1
+    return comb(d + n, n) - sum(c * comb(d - j + n, n)
+                                for j, c in enumerate(numerator[:d + 1]))
+
+
+def _dual_rank(module: GradedModule, k: int, e: int) -> int:
+    """Rank of the k-th dual differential in degree e: by Macaulay's
+    theorem, the number of degree-e monomials of its target in the
+    lead-term module of its image."""
+    nv = module.num_vars
+    return sum(_monomials_in_ideal(num, nv, e - t)
+               for t, num in _dual_numerators(module, k))
 
 
 def ext_dual_dimension(module: GradedModule, j: int, e: int) -> int:

@@ -46,6 +46,47 @@ def term_divides(t_small, t_big) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def hilbert_numerator(monomials):
+    """Numerator N(t) of the Hilbert series N(t) / (1 - t)^v of R / I.
+
+    I is the ideal of F_p[x_1..x_v] generated by the exponent tuples
+    ``monomials``; N is returned as its coefficient tuple, (1,) for the
+    empty set and () for the unit ideal.  By Macaulay's theorem a lead-term
+    ideal has the Hilbert function of the ideal it came from, so this counts
+    any Groebner basis.  With minimal generators m_1..m_k in ascending
+    degree, HN(I) = HN(I') - t^|m_k| HN(I' : m_k) for I' = (m_1..m_k-1)
+    (Bigatti 1997); unrolled, HN(I) = 1 - sum_i t^|m_i| HN((m_1..m_i-1) :
+    m_i), memoized on the generator sets of the colon ideals.
+    """
+    memo = {}
+
+    def minimal(gens):
+        gens = sorted(set(gens), key=lambda a: (sum(a), a))
+        kept = []
+        for a in gens:
+            if not any(all(x <= y for x, y in zip(b, a)) for b in kept):
+                kept.append(a)
+        return tuple(kept)
+
+    def numerator(gens):
+        out = memo.get(gens)
+        if out is None:
+            coeffs = [1]
+            for i, m in enumerate(gens):
+                colon = minimal(tuple(max(x - y, 0) for x, y in zip(a, m))
+                                for a in gens[:i])
+                shift = sum(m)
+                for j, c in enumerate(numerator(colon), shift):
+                    coeffs.extend([0] * (j + 1 - len(coeffs)))
+                    coeffs[j] -= c
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            out = memo[gens] = tuple(coeffs)
+        return out
+
+    return numerator(minimal(monomials))
+
+
 def vector_degree(vec, twists):
     """Common degree of a homogeneous vector, or None for the zero vector."""
     degs = {sum(exps) + twists[comp] for exps, comp in vec}
@@ -141,8 +182,10 @@ def _monic(vec, p):
     return vec_scale(vec, inv, p)
 
 
-def _canonical_sort_key(vec, twists):
-    return (vector_degree(vec, twists), term_key(leading_term(vec)),
+def _canonical_sort_key(vec, lead, twists):
+    """Sort key of a homogeneous vector with leading term ``lead``."""
+    exps, comp = lead
+    return (sum(exps) + twists[comp], term_key(lead),
             tuple(sorted(vec.items())))
 
 
@@ -171,7 +214,7 @@ def buchberger(generators, twists, p):
     for g in gens:
         vector_degree(g, twists)  # homogeneity check
     gens = [_monic(g, p) for g in gens]
-    gens.sort(key=lambda g: _canonical_sort_key(g, twists))
+    gens.sort(key=lambda g: _canonical_sort_key(g, leading_term(g), twists))
 
     basis = []
     leads = []  # leading term of each basis element
@@ -222,7 +265,8 @@ def buchberger(generators, twists, p):
 def _interreduce(basis, leads, twists, p):
     # drop elements whose lead is divisible by another lead, then tail-reduce
     order = sorted(range(len(basis)),
-                   key=lambda i: _canonical_sort_key(basis[i], twists))
+                   key=lambda i: _canonical_sort_key(basis[i], leads[i],
+                                                     twists))
     kept = []
     for i in order:
         if any(term_divides(leads[j], leads[i]) for j in kept):
@@ -230,7 +274,8 @@ def _interreduce(basis, leads, twists, p):
         kept.append(i)
     # A homogeneous vector's lead divides none of its other terms, nor any
     # term its tail reduces to, so one index of all survivors serves every
-    # survivor's tail.
+    # survivor's tail.  The survivors' leads are distinct, so their order by
+    # (degree, lead) is already the canonical order of the reduced vectors.
     index = _lead_index([basis[i] for i in kept], [leads[i] for i in kept])
     reduced = []
     for i in kept:
@@ -238,7 +283,6 @@ def _interreduce(basis, leads, twists, p):
         h = {leads[i]: tail.pop(leads[i])}
         h.update(_reduce(tail, index, p))
         reduced.append(h)
-    reduced.sort(key=lambda g: _canonical_sort_key(g, twists))
     return reduced
 
 

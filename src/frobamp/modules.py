@@ -259,22 +259,29 @@ class GradedModule:
         return not any(groebner.normal_form(vec, gb, self.prime)
                        for vec in gm.columns)
 
+    def _standard_basis(self, d: int):
+        """(standard monomials of degree d, term -> position), cached."""
+        key = ("std", d)
+        cached = self._cache.get(key)
+        if cached is None:
+            leads = [groebner.leading_term(g) for g in self.column_groebner()]
+            basis = tuple(
+                (mono, comp)
+                for comp, t in enumerate(self.presentation.target_twists)
+                for mono in monomials_of_degree(self.num_vars, d - t)
+                if not any(groebner.term_divides(lt, (mono, comp))
+                           for lt in leads))
+            cached = basis, {t: i for i, t in enumerate(basis)}
+            self._cache[key] = cached
+        return cached
+
     def standard_monomials(self, d: int):
         """Monomial basis of M_d: terms outside the lead-term submodule."""
-        gb = self.column_groebner()
-        leads = [groebner.leading_term(g) for g in gb]
-        basis = []
-        for comp, t in enumerate(self.presentation.target_twists):
-            for mono in monomials_of_degree(self.num_vars, d - t):
-                term = (mono, comp)
-                if not any(groebner.term_divides(lt, term) for lt in leads):
-                    basis.append(term)
-        return basis
+        return self._standard_basis(d)[0]
 
     def coordinates(self, vec, d: int):
         """Coordinates of a degree-d element of the ambient free module in M_d."""
-        basis = self.standard_monomials(d)
-        index = {t: i for i, t in enumerate(basis)}
+        basis, index = self._standard_basis(d)
         nf = groebner.normal_form(vec, self.column_groebner(), self.prime)
         out = [0] * len(basis)
         for term, v in nf.items():

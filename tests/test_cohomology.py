@@ -1,15 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobamp import catalog
-from frobamp.cohomology import (_mumford_scan, bott_oracle, cohomology_table,
+from frobamp.cohomology import (_dual_maps, _dual_rank, _monomials_in_ideal,
+                                _mumford_scan, bott_oracle, cohomology_table,
                                 euler_characteristic_matches_hilbert,
                                 generated_in_degrees, minreg_areg,
                                 reg_of_space, regularity, sheaf_cohomology)
+from frobamp.groebner import hilbert_numerator
+from frobamp.linalg import rank_mod
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
-                             free_module, tensor, zero_module)
-from frobamp.polynomials import MultiPoly
+                             free_module, frobenius_module, tensor,
+                             zero_module)
+from frobamp.polynomials import MultiPoly, monomials_of_degree
 
 
 def test_line_bundle_values_on_p2():
@@ -295,3 +301,104 @@ def test_regularity_scan_across_long_unsaturated_stretch():
     rep = regularity(frobenius_module(catalog.irrelevant_ideal(3, 2), 1))
     assert rep.sheaf_regularity == 0
     assert rep.module_regularity_bound == 7
+
+
+# -- dual ranks from lead terms against the dense oracle ----------------------
+
+@st.composite
+def _form(draw, p, nv, degree):
+    monos = monomials_of_degree(nv, degree)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                           max_size=len(monos)))
+    return MultiPoly(nv, p, dict(zip(monos, coeffs)))
+
+
+@st.composite
+def dual_rank_modules(draw):
+    """Random ideals and 3x4 linear matrices on P^2, 2-3 forms on P^3,
+    catalog bundles, and e = 1 Frobenius pullbacks of all but the P^3
+    forms; the coefficients are not filtered, so zero forms occur."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    kind = draw(st.sampled_from(("ideal", "matrix", "forms on P^3",
+                                 "catalog")))
+    if kind == "ideal":
+        degrees = tuple(draw(st.lists(st.sampled_from((2, 3)),
+                                      min_size=2, max_size=3)))
+        row = tuple(draw(_form(p, 3, d)) for d in degrees)
+        module = GradedModule(GradedMap(p, 3, (0,), degrees, (row,)))
+    elif kind == "matrix":
+        entries = tuple(tuple(draw(_form(p, 3, 1)) for _ in range(4))
+                        for _ in range(3))
+        module = GradedModule(GradedMap(p, 3, (0,) * 3, (1,) * 4, entries))
+    elif kind == "forms on P^3":
+        degrees = tuple(draw(st.lists(st.sampled_from((1, 2)),
+                                      min_size=2, max_size=3)))
+        row = tuple(draw(_form(p, 4, d)) for d in degrees)
+        return GradedModule(GradedMap(p, 4, (0,), degrees, (row,)))
+    else:
+        n = draw(st.sampled_from((2, 3)))
+        module = draw(st.sampled_from((
+            catalog.tangent_bundle(p, n), catalog.form_bundle(p, n, 1),
+            catalog.irrelevant_ideal(p, n), catalog.point_ideal(p),
+            catalog.line_bundle_sum(p, n, [0, 2]))))
+    if draw(st.booleans()):
+        module = frobenius_module(module, 1)
+    return module
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(dual_rank_modules())
+def test_dual_ranks_match_the_dense_rank(module):
+    _, duals = _dual_maps(module)
+    for k, dual in enumerate(duals):
+        for e in range(-8, 9):
+            assert _dual_rank(module, k, e) == \
+                rank_mod(dual.degree_piece(e), module.prime), (k, e)
+
+
+@st.composite
+def monomial_sets(draw):
+    """(number of variables, exponent tuples), the unit monomial now and
+    then and the empty set among them."""
+    nv = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * nv)
+    return nv, gens
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(monomial_sets())
+def test_hilbert_numerator_counts_the_monomials_of_the_ideal(case):
+    nv, gens = case
+    numerator = hilbert_numerator(gens)
+    for d in range(9):
+        inside = sum(1 for m in monomials_of_degree(nv, d)
+                     if any(all(a <= b for a, b in zip(g, m)) for g in gens))
+        assert _monomials_in_ideal(numerator, nv, d) == inside, d
+
+
+def test_hilbert_numerator_of_the_empty_set_and_the_unit_ideal():
+    assert hilbert_numerator([]) == (1,)
+    assert hilbert_numerator([(0, 0, 0), (1, 2, 0)]) == ()
+    assert hilbert_numerator([(1, 0), (0, 1)]) == (1, -2, 1)
+    for nv in (1, 3):
+        assert _monomials_in_ideal((), nv, 4) == len(
+            monomials_of_degree(nv, 4))
+        assert _monomials_in_ideal((1,), nv, 4) == 0
+        assert _monomials_in_ideal((), nv, -1) == 0
+
+
+def test_regularity_and_wide_tables_never_build_a_dense_map_piece(
+        monkeypatch):
+    def dense(self, d):
+        raise AssertionError("dense degree piece built")
+
+    monkeypatch.setattr(GradedMap, "degree_piece", dense)
+    rep = regularity(frobenius_module(catalog.irrelevant_ideal(2, 2), 4))
+    assert rep.sheaf_regularity == 0
+    assert rep.module_regularity_bound == 46
+    t = catalog.tangent_bundle(5, 3)
+    tt = tensor(t, t)
+    table = cohomology_table(tt, -8, 8)
+    assert euler_characteristic_matches_hilbert(tt, table)
