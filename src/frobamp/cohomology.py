@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, inf
 
-from .groebner import buchberger, hilbert_numerator, leading_term
+from .groebner import buchberger, hilbert_numerator
 from .linalg import rank_mod
 from .modules import GradedMap, GradedModule, free_piece_dimension
 from .resolution import (evaluate_polynomial, hilbert_function,
@@ -72,7 +72,7 @@ def _dual_numerators(module: GradedModule, k: int):
         dual = duals[k]
         leads = {}
         for g in buchberger(dual.columns, dual.target_twists, module.prime):
-            exps, r = leading_term(g)
+            exps, r = next(iter(g))  # buchberger puts each lead first
             leads.setdefault(r, []).append(exps)
         cached = tuple((dual.target_twists[r], hilbert_numerator(monos))
                        for r, monos in sorted(leads.items()))

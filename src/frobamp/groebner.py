@@ -12,17 +12,23 @@ entirely on the trailing block are exactly a basis of the syzygy module.
 Buchberger's algorithm with the chain criterion is used throughout; the
 coprimality (product) criterion is applied only when both elements are
 supported in a single component, where the classical ideal-case proof
-applies verbatim.  Each basis element's leading term is computed once, when
-the element is added, and filed in a per-component lead index.  S-pairs
-leave a heap in a fixed priority order (degree, then the term order of the
-lcm, then the pair's indices), so runs are deterministic.  One heap-driven
+applies verbatim.  Pairs are formed, and the chain criterion is checked,
+only among basis elements whose leads share a component.  S-pairs leave a
+heap in a fixed priority order (degree, then the term order of the lcm,
+then the pair's indices), so runs are deterministic.  One heap-driven
 reducer, ``_reduce``, serves Buchberger, interreduction and
-``normal_form``.
+``normal_form``; every generator and S-vector enters the basis through it.
+It builds its result in decreasing term order, so a new element's leading
+term is its first key: leads are never searched for inside the engine, and
+each is filed once in a per-component lead index.  The reducer's heap key
+drops the degree because the basis vectors are homogeneous: a reduction
+replaces a term by terms of its own degree.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .polynomials import MultiPoly
 
@@ -32,7 +38,7 @@ from .polynomials import MultiPoly
 
 def term_key(term):
     exps, comp = term
-    return (-comp, sum(exps), tuple(-e for e in reversed(exps)))
+    return (-comp, sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def leading_term(vec):
@@ -41,9 +47,7 @@ def leading_term(vec):
 
 def term_divides(t_small, t_big) -> bool:
     (a, ca), (b, cb) = t_small, t_big
-    if ca != cb:
-        return False
-    return all(x <= y for x, y in zip(a, b))
+    return ca == cb and min(map(sub, b, a)) >= 0
 
 
 def hilbert_numerator(monomials):
@@ -107,7 +111,7 @@ def vec_scale(vec, c, p):
 def vec_sub_multiple(target, coeff, shift, src, p):
     """target -= coeff * x^shift * src, in place."""
     for (exps, comp), v in src.items():
-        t = (tuple(a + b for a, b in zip(exps, shift)), comp)
+        t = (tuple(map(add, exps, shift)), comp)
         s = (target.get(t, 0) - coeff * v) % p
         if s:
             target[t] = s
@@ -116,7 +120,8 @@ def vec_sub_multiple(target, coeff, shift, src, p):
 
 
 def normal_form(vec, basis, p):
-    """Full normal form of ``vec`` modulo the (monic) basis vectors.
+    """Full normal form of ``vec`` modulo the (monic, homogeneous) basis
+    vectors.
 
     Every term of the result is reducible by no basis leading term; for a
     Groebner basis this is the canonical representative mod the submodule.
@@ -137,37 +142,39 @@ def _reduce(vec, lead_index, p):
     """Full normal form of ``vec`` by the monic vectors of ``lead_index``.
 
     Each term is reduced by the first vector in index order whose lead
-    divides it.  Terms leave a heap largest first, keyed by
-    (comp, -degree, reversed exponents), which orders terms exactly
-    opposite to ``term_key``.  Every term that appears is pushed once and
-    keeps its entry in ``work``; one cancelled to zero is skipped when it
-    comes off, and one that comes back before then is still queued.  A
-    reduction only adds terms below the one it removes, so the result is
-    built in decreasing term order.
+    divides it.  Terms leave a heap keyed by (comp, reversed exponents).
+    The indexed vectors are homogeneous, so a reduction replaces a term by
+    terms of its own degree, all smaller than it; within one degree that
+    key orders terms exactly opposite to ``term_key``, and the terms of
+    different degrees never meet.  Every term that appears is pushed once
+    and keeps its entry in ``work``; one cancelled to zero is skipped when
+    it comes off, and one that comes back before then is still queued.  For
+    a homogeneous ``vec`` every component holds one degree, so the result
+    is built in decreasing term order and its first key is its leading
+    term.
     """
     work = dict(vec)
-    heap = [(comp, -sum(exps), exps[::-1], exps) for exps, comp in work]
+    heap = [(t[1], t[0][::-1], t) for t in work]
     heapify(heap)
     result = {}
     while heap:
-        comp, _, _, exps = heappop(heap)
-        t = (exps, comp)
+        comp, _, t = heappop(heap)
         c = work[t]
         if not c:
             continue
+        exps = t[0]
         for lexps, g in lead_index.get(comp, ()):
-            if all(x <= y for x, y in zip(lexps, exps)):
-                shift = tuple(y - x for x, y in zip(lexps, exps))
+            shift = tuple(map(sub, exps, lexps))
+            if min(shift) >= 0:
                 # g is monic, so the reduction coefficient is just c, and
                 # the term t cancels
                 for (gexps, gcomp), v in g.items():
-                    uexps = tuple(a + b for a, b in zip(gexps, shift))
+                    uexps = tuple(map(add, gexps, shift))
                     u = (uexps, gcomp)
                     old = work.get(u)
                     if old is None:
                         work[u] = -c * v % p
-                        heappush(heap, (gcomp, -sum(uexps), uexps[::-1],
-                                        uexps))
+                        heappush(heap, (gcomp, uexps[::-1], u))
                     else:
                         work[u] = (old - c * v) % p
                 break
@@ -176,10 +183,10 @@ def _reduce(vec, lead_index, p):
     return result
 
 
-def _monic(vec, p):
-    lt = leading_term(vec)
-    inv = pow(vec[lt], p - 2, p)
-    return vec_scale(vec, inv, p)
+def _monic(vec, lead, p):
+    """``vec`` scaled so that its coefficient at ``lead`` is 1."""
+    c = vec[lead]
+    return vec if c == 1 else vec_scale(vec, pow(c, p - 2, p), p)
 
 
 def _canonical_sort_key(vec, lead, twists):
@@ -191,10 +198,10 @@ def _canonical_sort_key(vec, lead, twists):
 
 def _s_pair(f, fa, g, ga, p):
     """S-vector of monic ``f`` and ``g`` with lead exponents ``fa``, ``ga``."""
-    lcm = tuple(max(a, b) for a, b in zip(fa, ga))
+    lcm = tuple(map(max, fa, ga))
     s = {}
-    vec_sub_multiple(s, p - 1, tuple(l - a for l, a in zip(lcm, fa)), f, p)
-    vec_sub_multiple(s, 1, tuple(l - a for l, a in zip(lcm, ga)), g, p)
+    vec_sub_multiple(s, p - 1, tuple(map(sub, lcm, fa)), f, p)
+    vec_sub_multiple(s, 1, tuple(map(sub, lcm, ga)), g, p)
     return s
 
 
@@ -208,74 +215,102 @@ def buchberger(generators, twists, p):
 
     Input vectors must be homogeneous with respect to ``twists``.  The
     result is monic, interreduced, and deterministically ordered, hence
-    canonical for the fixed module order.
+    canonical for the fixed module order; each vector's first key is its
+    leading term.
     """
-    gens = [g for g in generators if g]
-    for g in gens:
-        vector_degree(g, twists)  # homogeneity check
-    gens = [_monic(g, p) for g in gens]
-    gens.sort(key=lambda g: _canonical_sort_key(g, leading_term(g), twists))
+    return _interreduce(*_buchberger_basis(generators, twists, p), twists,
+                        p)
+
+
+def _buchberger_basis(generators, twists, p):
+    """(basis, leads): a Groebner basis, not yet interreduced, of the
+    submodule, and the leading term of each element.
+
+    Each element enters as the full normal form of a generator or an
+    S-vector by the elements before it, so no lead divides a later one and
+    the leads are pairwise distinct.
+    """
+    gens = []
+    for g in generators:
+        if g:
+            vector_degree(g, twists)  # homogeneity check
+            lead = leading_term(g)
+            g = _monic(g, lead, p)
+            gens.append((_canonical_sort_key(g, lead, twists), g))
+    gens.sort(key=lambda kg: kg[0])
 
     basis = []
     leads = []  # leading term of each basis element
     pure = []  # supported in a single component
-    lead_index = {}
+    lead_index = {}  # component -> (lead exps, vector), as _reduce takes
+    same_comp = {}  # component -> indices of the elements with lead there
     pairs = set()  # pending pairs, for the chain criterion
-    queue = []  # the same pairs as a heap of (degree, lcm key, i, j, lcm)
+    # the same pairs, as a heap of (degree, term_key((lcm, comp)), i, j,
+    # lcm) with the key flattened and its sum(lcm), which the degree and
+    # component fix, left out
+    queue = []
 
-    def add_element(vec):
+    def add_reduced(vec):
+        h = _reduce(vec, lead_index, p)
+        if not h:
+            return
+        lead = next(iter(h))
+        h = _monic(h, lead, p)
         j = len(basis)
-        ja, jc = lead = leading_term(vec)
-        basis.append(vec)
+        ja, jc = lead
+        basis.append(h)
         leads.append(lead)
-        pure.append(_single_component(vec))
-        lead_index.setdefault(jc, []).append((ja, vec))
-        for i in range(j):
-            ia, ic = leads[i]
-            if ic != jc:
-                continue
-            if (pure[i] and pure[j]
-                    and all(min(a, b) == 0 for a, b in zip(ia, ja))):
+        pure_j = _single_component(h)
+        pure.append(pure_j)
+        lead_index.setdefault(jc, []).append((ja, h))
+        same = same_comp.setdefault(jc, [])
+        twist = twists[jc]
+        for i in same:
+            ia = leads[i][0]
+            if pure_j and pure[i] and not any(map(min, ia, ja)):
                 continue  # coprime leads in an embedded ideal: S-pair drops
-            lcm = tuple(max(a, b) for a, b in zip(ia, ja))
+            lcm = tuple(map(max, ia, ja))
             pairs.add((i, j))
-            heappush(queue, (sum(lcm) + twists[jc], term_key((lcm, jc)),
-                             i, j, lcm))
+            heappush(queue, (sum(lcm) + twist, -jc,
+                             tuple(map(neg, reversed(lcm))), i, j, lcm))
+        same.append(j)
 
-    for g in gens:
-        add_element(g)
+    for _, g in gens:
+        add_reduced(g)
 
     while queue:
-        _, _, i, j, lcm = heappop(queue)
+        _, negc, _, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        lcm_term = (lcm, leads[i][1])
-        if any(k != i and k != j and term_divides(lead, lcm_term)
-               and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
-               for k, lead in enumerate(leads)):
+        if any(k != i and k != j
+               and min(map(sub, lcm, leads[k][0])) >= 0
+               and ((i, k) if i < k else (k, i)) not in pairs
+               and ((j, k) if j < k else (k, j)) not in pairs
+               for k in same_comp[-negc]):
             continue  # chain criterion
-        s = _s_pair(basis[i], leads[i][0], basis[j], leads[j][0], p)
-        h = _reduce(s, lead_index, p)
-        if h:
-            add_element(_monic(h, p))
+        add_reduced(_s_pair(basis[i], leads[i][0], basis[j], leads[j][0],
+                            p))
 
-    return _interreduce(basis, leads, twists, p)
+    return basis, leads
 
 
 def _interreduce(basis, leads, twists, p):
     # drop elements whose lead is divisible by another lead, then tail-reduce
-    order = sorted(range(len(basis)),
-                   key=lambda i: _canonical_sort_key(basis[i], leads[i],
-                                                     twists))
+    # in the canonical order; the leads are distinct, so (degree, lead)
+    # orders them completely
+    order = sorted(range(len(basis)), key=lambda i: (
+        sum(leads[i][0]) + twists[leads[i][1]], term_key(leads[i])))
     kept = []
+    kept_exps = {}  # component -> lead exponents of the kept elements
     for i in order:
-        if any(term_divides(leads[j], leads[i]) for j in kept):
+        exps, comp = leads[i]
+        same = kept_exps.setdefault(comp, [])
+        if any(min(map(sub, exps, e)) >= 0 for e in same):
             continue
+        same.append(exps)
         kept.append(i)
     # A homogeneous vector's lead divides none of its other terms, nor any
     # term its tail reduces to, so one index of all survivors serves every
-    # survivor's tail.  The survivors' leads are distinct, so their order by
-    # (degree, lead) is already the canonical order of the reduced vectors.
+    # survivor's tail.
     index = _lead_index([basis[i] for i in kept], [leads[i] for i in kept])
     reduced = []
     for i in kept:
@@ -290,8 +325,9 @@ def buchberger_criterion_holds(basis, twists, p) -> bool:
     """Check directly that every S-vector of ``basis`` reduces to zero."""
     for g in basis:
         vector_degree(g, twists)
-    monic = [_monic(g, p) for g in basis if g]
-    leads = [leading_term(g) for g in monic]
+    basis = [g for g in basis if g]
+    leads = [leading_term(g) for g in basis]
+    monic = [_monic(g, lead, p) for g, lead in zip(basis, leads)]
     index = _lead_index(monic, leads)
     for i in range(len(monic)):
         for j in range(i + 1, len(monic)):
@@ -338,14 +374,14 @@ def syzygies(generators, twists, p, num_vars, degrees=None):
         vec = dict(g)
         vec[(zero_exp, m + c)] = 1
         augmented.append(vec)
-    basis = buchberger(augmented, aug_twists, p)
     syz = []
     syz_degrees = []
-    for g in basis:
-        if all(comp >= m for _, comp in g):
-            shifted = {(exps, comp - m): v for (exps, comp), v in g.items()}
-            syz.append(shifted)
-            syz_degrees.append(vector_degree(shifted, degrees))
+    for g in buchberger(augmented, aug_twists, p):
+        # the lead (first key) has the least component of g's terms
+        lexps, lcomp = next(iter(g))
+        if lcomp >= m:
+            syz.append({(exps, comp - m): v for (exps, comp), v in g.items()})
+            syz_degrees.append(sum(lexps) + aug_twists[lcomp])
     return syz, syz_degrees
 
 

@@ -1,14 +1,15 @@
 """Dense linear algebra over F_p (numpy-backed) and exact rational solving.
 
 The mod-p routines use int64 arrays; residues are < 2**31 so products of two
-residues never overflow.  The rational solver works with ``fractions.Fraction``
-and is meant for the small overdetermined systems arising from splitting-type
-computations.
+residues never overflow.  The rational solver eliminates fraction-free over
+the integers and is meant for the small overdetermined systems arising from
+splitting-type computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -34,22 +35,17 @@ def rank_mod(matrix, p: int) -> int:
         return 0
     rank = 0
     for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        nz = rank + np.flatnonzero(a[rank:, col])
+        if not nz.size:
             continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
+        if nz[0] != rank:
+            a[[rank, nz[0]]] = a[[nz[0], rank]]
         inv = pow(int(a[rank, col]), p - 2, p)
         a[rank] = a[rank] * inv % p
-        below = a[rank + 1:, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz]
-                                - np.outer(below[nz], a[rank])) % p
+        # the swap moved a row that is zero in this column to nz[0]
+        below = nz[1:]
+        if below.size:
+            a[below] = (a[below] - np.outer(a[below, col], a[rank])) % p
         rank += 1
         if rank == rows:
             break
@@ -104,32 +100,43 @@ def solve_rational(matrix, rhs):
 
     ``matrix`` is a list of rows of ints/Fractions, ``rhs`` a list.  Raises
     ValueError if the system is inconsistent or underdetermined.
+
+    Each row is scaled to integers and the augmented matrix is brought to
+    echelon form by Bareiss's fraction-free elimination: every entry after
+    a step is a minor of the input, so the division by the previous pivot
+    is exact.  Back substitution finds the integers D x_c, where D is the
+    last pivot (Cramer's rule), and makes one Fraction per unknown.
     """
-    m = [[Fraction(v) for v in row] + [Fraction(b)]
-         for row, b in zip(matrix, rhs)]
+    m = []
+    for row, b in zip(matrix, rhs):
+        ratios = [v.as_integer_ratio() for v in (*row, b)]
+        den = lcm(*(d for _, d in ratios))
+        m.append([n * (den // d) for n, d in ratios])
     rows = len(m)
     cols = len(m[0]) - 1 if rows else 0
-    pivots = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
+        top = m[r]
+        lead = top[c]
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            m[i] = [(lead * a - f * t) // prev for a, t in zip(m[i], top)]
+        prev = lead
         r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            raise ValueError("inconsistent linear system")
-    if len(pivots) < cols:
+    if any(m[i][cols] for i in range(r, rows)):
+        raise ValueError("inconsistent linear system")
+    if r < cols:
         raise ValueError("underdetermined linear system")
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
-    return x
+    # row c holds the pivot of column c; y[c] = D x_c with D = prev
+    y = [0] * cols
+    for c in reversed(range(cols)):
+        row = m[c]
+        acc = prev * row[cols] - sum(row[j] * y[j]
+                                     for j in range(c + 1, cols))
+        y[c] = acc // row[c]
+    return [Fraction(v, prev) for v in y]

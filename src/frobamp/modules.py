@@ -31,6 +31,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# The canonical object of every term (exps, r), exponent tuple and twist
+# tuple that a GradedMap has stored.  Equal keys are interchangeable
+# immutable tuples, so one table serves all three kinds.
+_SHARED = {}
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class GradedMap:
     """Homogeneous matrix ⊕_c R(-source_twists[c]) -> ⊕_r R(-target_twists[r]).
@@ -83,27 +89,29 @@ class GradedMap:
     def from_columns(cls, prime, num_vars, target_twists, source_twists,
                      columns):
         """The map with the given column vectors, taken as valid (they are
-        copied, with equal terms shared)."""
+        copied, and equal terms are shared with every other map)."""
         gm = cls.__new__(cls)
         gm._set(prime, num_vars, tuple(target_twists), tuple(source_twists),
                 columns)
         return gm
 
     def _set(self, prime, num_vars, target_twists, source_twists, columns):
-        # one tuple object per distinct term and per distinct exponent
-        # vector in the map; a resolution repeats each about four times
-        exps_seen, terms_seen = {}, {}
+        # one tuple object per distinct term, exponent vector and twist list
+        # in every map of the process: the table lives as long as the
+        # process and holds each distinct one ever stored once, and
+        # resolutions use few distinct terms, each many times over
         cols = []
         for vec in columns:
             col = {}
             for term, v in vec.items():
-                t = terms_seen.get(term)
+                t = _SHARED.get(term)
                 if t is None:
                     exps, r = term
-                    t = terms_seen[term] = (
-                        exps_seen.setdefault(exps, exps), r)
+                    t = _SHARED[term] = (_SHARED.setdefault(exps, exps), r)
                 col[t] = v
             cols.append(col)
+        target_twists = _SHARED.setdefault(target_twists, target_twists)
+        source_twists = _SHARED.setdefault(source_twists, source_twists)
         for name, value in (("prime", prime), ("num_vars", num_vars),
                             ("target_twists", target_twists),
                             ("source_twists", source_twists),
@@ -264,7 +272,8 @@ class GradedModule:
         key = ("std", d)
         cached = self._cache.get(key)
         if cached is None:
-            leads = [groebner.leading_term(g) for g in self.column_groebner()]
+            # buchberger puts each vector's lead first
+            leads = [next(iter(g)) for g in self.column_groebner()]
             basis = tuple(
                 (mono, comp)
                 for comp, t in enumerate(self.presentation.target_twists)

@@ -78,7 +78,7 @@ def _minimalize(cols, sources, targets, left, zero, p):
     sources[:] = [sources[c] for c in kept]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeResolution:
     """Chain F_len -> ... -> F_1 -> F_0 with maps[k]: F_{k+1} -> F_k."""
 

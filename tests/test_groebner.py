@@ -5,11 +5,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobamp.groebner import (buchberger, buchberger_criterion_holds,
+from frobamp.groebner import (_buchberger_basis, _interreduce, _lead_index,
+                              _reduce, buchberger, buchberger_criterion_holds,
                               groebner_basis, leading_term, normal_form,
                               submodule_contains, syzygies, term_divides,
-                              term_key, vec_sub_multiple, vector_degree,
-                              vectors_from_polys)
+                              term_key, vec_scale, vec_sub_multiple,
+                              vector_degree, vectors_from_polys)
 from frobamp.polynomials import MultiPoly, monomials_of_degree, parse_poly
 
 
@@ -277,3 +278,49 @@ def test_normal_form_is_irreducible_and_constant_on_cosets(case):
     v_minus_nf = dict(v)
     vec_sub_multiple(v_minus_nf, 1, (0, 0, 0), nf, p)
     assert normal_form(v_minus_nf, basis, p) == {}
+
+
+def _monic(vec, p):
+    return vec_scale(vec, pow(vec[leading_term(vec)], p - 2, p), p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(rank_two_submodules())
+def test_reduce_builds_its_result_in_decreasing_term_order(case):
+    # Buchberger reads a new element's lead off the first key, for any
+    # monic homogeneous reducers, Groebner basis or not
+    p, twists, gens, v, _ = case
+    monic = [_monic(g, p) for g in gens if g]
+    index = _lead_index(monic, [leading_term(g) for g in monic])
+    h = _reduce(v, index, p)
+    keys = [term_key(t) for t in h]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    if h:
+        assert next(iter(h)) == leading_term(h)
+
+
+@st.composite
+def generators_with_shared_leads(draw):
+    """rank_two_submodules' generators, plus copies of some of them with
+    every coefficient but the lead's redrawn: equal leads on input."""
+    p, twists, gens, _, _ = draw(rank_two_submodules())
+    twins = []
+    for g in gens:
+        if g and draw(st.booleans()):
+            lead = leading_term(g)
+            twin = {t: draw(st.integers(0, p - 1)) for t in g}
+            twin[lead] = draw(st.integers(1, p - 1))
+            twins.append({t: c for t, c in twin.items() if c})
+    return p, twists, gens + twins
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(generators_with_shared_leads())
+def test_buchberger_leads_are_distinct_before_interreduction(case):
+    p, twists, gens = case
+    basis, leads = _buchberger_basis(gens, twists, p)
+    assert leads == [leading_term(g) for g in basis]
+    assert len(set(leads)) == len(leads)
+    assert buchberger_criterion_holds(basis, twists, p)
+    assert _interreduce(basis, leads, twists, p) == buchberger(gens, twists,
+                                                               p)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 
 from hypothesis import given, settings
@@ -260,3 +262,72 @@ def test_random_resolutions_are_minimal_exact_and_short(module):
     assert res.degreewise_exact()
     assert res.length <= module.num_vars
     assert _betti(res) == _betti(free_resolution(module, max_length=8))
+
+
+def _seeded_modules():
+    """40 seeded modules: ideals of three cubics and of two quadrics and a
+    cubic on P^2, ideals of two quadrics and a cubic and of three quadrics
+    on P^3, and 3x4 matrices of linear forms on P^2 and P^3."""
+    rng = random.Random(20261019)
+
+    def form(p, nv, degree):
+        return MultiPoly(nv, p, {m: rng.randrange(p)
+                                 for m in monomials_of_degree(nv, degree)})
+
+    shapes = [(3, (3, 3, 3)), (3, (2, 2, 3)), (4, (2, 2, 3)), (4, (2, 2, 2)),
+              (3, None), (4, None)]
+    out = []
+    for k in range(40):
+        nv, degrees = shapes[k % len(shapes)]
+        p = (2, 3, 5, 7)[k // len(shapes) % 4]
+        if degrees:
+            row = tuple(form(p, nv, d) for d in degrees)
+            pres = GradedMap(p, nv, (0,), degrees, (row,))
+        else:
+            pres = GradedMap(p, nv, (0,) * 3, (1,) * 4,
+                             [[form(p, nv, 1) for _ in range(4)]
+                              for _ in range(3)])
+        out.append(pres)
+    return out
+
+
+PINNED_DIGEST = (
+    "79aa490eb37a551f9e9348e2660174a3c76f5cf629b07c81cad7832f53e1a6c3")
+
+
+def test_seeded_resolutions_and_bases_are_pinned():
+    """One SHA-256 digest pins the reduced column Groebner basis and every
+    differential of 40 seeded modules, so an engine change that alters any
+    of them shows here.  The reduced basis is canonical; the differentials
+    are not, so a Schreyer-frame syzygy engine (ROADMAP item 3) will
+    legitimately change this digest, and must then check the Betti tables,
+    the reduced bases and the exactness properties instead."""
+    digest = hashlib.sha256()
+    for pres in _seeded_modules():
+        module = GradedModule(pres)
+        for g in module.column_groebner():
+            digest.update(repr(sorted(g.items())).encode())
+        res = free_resolution(module)
+        assert res.is_minimal()
+        for m in res.maps:
+            digest.update(repr((m.target_twists, m.source_twists)).encode())
+            for col in m.columns:
+                digest.update(repr(sorted(col.items())).encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_equal_resolutions_share_their_terms():
+    """Two resolutions built independently hold the same term, exponent and
+    twist tuple objects: maps share them through one process-wide table."""
+    pres = _seeded_modules()[1]
+    first, second = (free_resolution(GradedModule(GradedMap.from_columns(
+        pres.prime, pres.num_vars, pres.target_twists, pres.source_twists,
+        [dict(col) for col in pres.columns]))) for _ in range(2))
+    assert first.maps == second.maps and len(first.maps) >= 2
+    for a, b in zip(first.maps, second.maps):
+        assert a.source_twists is b.source_twists
+        assert a.target_twists is b.target_twists
+        for ca, cb in zip(a.columns, b.columns):
+            assert ca is not cb
+            for ta, tb in zip(sorted(ca), sorted(cb)):
+                assert ta is tb and ta[0] is tb[0]
