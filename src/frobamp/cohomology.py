@@ -8,17 +8,19 @@ modules, and graded local duality turns those into local cohomology,
     dim H^j_m(M)_d = dim Ext^{n+1-j}(M, R(-n-1))_{-d},
 
 from which  h^i(~M(d)) = dim H^{i+1}_m(M)_d  for i >= 1, while h^0 corrects
-the module's own graded piece by the two lowest local cohomologies.  One
-Groebner pass per module serves every (i, d): dim M_d is the alternating sum
-of free-module dimensions along the same resolution, and each Ext piece
-needs the ranks of two dualized differentials.  A dualized differential is
-the transpose of a map's columns, built directly in the same sparse column
-form.  Its rank in degree e is the dimension of its image there, which by
-Macaulay's theorem is the number of degree-e monomials in the lead-term
-module of the image; one reduced Groebner basis per differential and the
-Hilbert numerator of each component's lead ideal give that count in every
-degree as a sum of binomials.  These ranks build no dense matrix and load
-no numpy; the dense ranks (``GradedMap.degree_piece``, and
+the module's own graded piece by the two lowest local cohomologies.  Every
+number is a coefficient of a Hilbert series (``resolution.HilbertSeries``),
+cached on the module: dim M_d comes from the resolution's K-polynomial, and
+Ext^j from the cokernels of the dualized differentials,
+
+    Ext^j = coker(d_{j-1}) + coker(d_j) - F*_{j+1}   (as Hilbert series).
+
+A dualized differential is the transpose of a map's columns, built directly
+in the same sparse column form.  By Macaulay's theorem its cokernel has the
+Hilbert function of the lead-term module of its image, so one reduced
+Groebner basis per differential and the Hilbert numerator of each
+component's lead ideal give that series.  Cohomology builds no dense
+matrix and loads no numpy; the dense ranks (``GradedMap.degree_piece``, and
 ``GradedModule.hilbert_function`` for the module itself) are test oracles.
 
 The regularity of a sheaf is the least m making all higher cohomology of the
@@ -34,8 +36,8 @@ from math import comb, inf
 
 from .groebner import buchberger, hilbert_numerator
 from .linalg import rank_mod
-from .modules import GradedMap, GradedModule, free_piece_dimension
-from .resolution import (evaluate_polynomial, hilbert_function,
+from .modules import GradedMap, GradedModule
+from .resolution import (HilbertSeries, evaluate_polynomial, hilbert_function,
                          hilbert_polynomial, minimal_resolution,
                          sheaf_is_zero)
 
@@ -61,59 +63,44 @@ def _dual_maps(module: GradedModule):
     return out
 
 
-def _dual_numerators(module: GradedModule, k: int):
-    """(twist, Hilbert numerator of the lead-term ideal) for each target
-    component of the k-th dual differential that holds a lead, from one
-    reduced Groebner basis of its columns; cached on the module."""
-    key = ("dual_numerators", k)
-    cached = module._cache.get(key)
-    if cached is None:
-        _, duals = _dual_maps(module)
-        dual = duals[k]
-        leads = {}
-        for g in buchberger(dual.columns, dual.target_twists, module.prime):
-            exps, r = next(iter(g))  # buchberger puts each lead first
-            leads.setdefault(r, []).append(exps)
-        cached = tuple((dual.target_twists[r], hilbert_numerator(monos))
-                       for r, monos in sorted(leads.items()))
-        module._cache[key] = cached
-    return cached
-
-
-def _monomials_in_ideal(numerator, num_vars: int, d: int) -> int:
-    """Number of degree-d monomials of F_p[x_1..x_num_vars] in the monomial
-    ideal whose quotient has Hilbert numerator ``numerator``."""
-    if d < 0:
-        return 0
-    n = num_vars - 1
-    return comb(d + n, n) - sum(c * comb(d - j + n, n)
-                                for j, c in enumerate(numerator[:d + 1]))
-
-
-def _dual_rank(module: GradedModule, k: int, e: int) -> int:
-    """Rank of the k-th dual differential in degree e: by Macaulay's
-    theorem, the number of degree-e monomials of its target in the
-    lead-term module of its image."""
-    nv = module.num_vars
-    return sum(_monomials_in_ideal(num, nv, e - t)
-               for t, num in _dual_numerators(module, k))
+def _coker_series(module: GradedModule, k: int) -> HilbertSeries:
+    """Hilbert series of the cokernel of the k-th dual differential (F*_0
+    for k = -1), cached: by Macaulay's theorem, sum_r t^twist_r HN(lead
+    ideal of component r) over one reduced Groebner basis of its columns."""
+    series = module._cache.get(("coker_series", k))
+    if series is None:
+        res, duals = _dual_maps(module)
+        if k < 0:
+            terms = [(module.num_vars - t, 1) for t in res.f0_twists]
+        else:
+            dual, leads = duals[k], {}
+            for g in buchberger(dual.columns, dual.target_twists,
+                                module.prime):
+                exps, r = next(iter(g))  # buchberger puts each lead first
+                leads.setdefault(r, []).append(exps)
+            terms = [(t + j, c) for r, t in enumerate(dual.target_twists)
+                     for j, c in enumerate(hilbert_numerator(leads.get(r, ())))]
+        series = HilbertSeries.from_terms(module.num_vars, terms)
+        module._cache[("coker_series", k)] = series
+    return series
 
 
 def ext_dual_dimension(module: GradedModule, j: int, e: int) -> int:
-    """dim Ext^j_R(M, R(-n-1))_e from the dualized resolution."""
-    res, duals = _dual_maps(module)
+    """dim Ext^j_R(M, R(-n-1))_e, read off the cached Hilbert series
+    coker(j - 1) + coker(j) - F*_{j+1} (only coker(j - 1) at the end)."""
+    res = minimal_resolution(module)
     if j < 0 or j > res.length:
         return 0
-    nv = module.num_vars
-    twists_j = tuple(nv - t for t in res.module_twists(j))
-    dim = free_piece_dimension(nv, twists_j, e)
-    if dim == 0:
-        return 0
-    if j < res.length:
-        dim -= _dual_rank(module, j, e)       # outgoing differential
-    if j >= 1:
-        dim -= _dual_rank(module, j - 1, e)   # incoming differential
-    return dim
+    series = module._cache.get(("ext_series", j))
+    if series is None:
+        terms = list(_coker_series(module, j - 1).terms)
+        if j < res.length:
+            terms += _coker_series(module, j).terms
+            terms += [(module.num_vars - t, -1)
+                      for t in res.module_twists(j + 1)]
+        series = HilbertSeries.from_terms(module.num_vars, terms)
+        module._cache[("ext_series", j)] = series
+    return series.at(e)
 
 
 def sheaf_cohomology(module: GradedModule, i: int, d: int) -> int:
@@ -217,8 +204,7 @@ def regularity(module: GradedModule) -> RegularityReport:
     res = minimal_resolution(module)
     bound = res.regularity_bound()
     reg_x = reg_of_space(module.num_vars, module.prime)
-    coeffs = hilbert_polynomial(module)
-    if len(coeffs) == 1:
+    if len(hilbert_polynomial(module)) == 1:
         # zero-dimensional support: all higher cohomology vanishes always
         return RegularityReport(None, bound, reg_x)
     return RegularityReport(_mumford_scan(module, bound), bound, reg_x)
@@ -329,7 +315,5 @@ def euler_characteristic_matches_hilbert(module: GradedModule,
                                          table: CohomologyTable) -> bool:
     """Alternating sum of table columns equals the Hilbert polynomial."""
     coeffs = hilbert_polynomial(module)
-    for d in range(table.twist_lo, table.twist_hi + 1):
-        if table.euler_characteristic(d) != evaluate_polynomial(coeffs, d):
-            return False
-    return True
+    return all(table.euler_characteristic(d) == evaluate_polynomial(coeffs, d)
+               for d in range(table.twist_lo, table.twist_hi + 1))

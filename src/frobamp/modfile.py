@@ -26,8 +26,8 @@ _ALLOWED = set(_REQUIRED) | {"locally_free"}
 
 def _expect_int_list(doc, key):
     value = doc[key]
-    if not isinstance(value, list) or any(not isinstance(v, int)
-                                          for v in value):
+    # a YAML boolean is an int to isinstance, and True == 1 as a dict key
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
         raise ModuleFileError(f"field {key!r} must be a list of integers")
     return value
 
@@ -52,7 +52,7 @@ def loads_module(text: str, prime: int | None = None) -> GradedModule:
     if not isinstance(p, int) or not is_prime(p):
         raise ModuleFileError(f"modulus {p!r} is not prime")
     nv = doc["num_vars"]
-    if not isinstance(nv, int) or nv < 1:
+    if type(nv) is not int or nv < 1:
         raise ModuleFileError(f"num_vars must be a positive integer, got {nv!r}")
     tt = _expect_int_list(doc, "target_twists")
     st = _expect_int_list(doc, "source_twists")

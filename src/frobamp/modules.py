@@ -60,6 +60,10 @@ class GradedMap:
         check_prime(prime)
         target_twists = tuple(target_twists)
         source_twists = tuple(source_twists)
+        for name, twists in (("target_twists", target_twists),
+                             ("source_twists", source_twists)):
+            if any(isinstance(t, bool) for t in twists):
+                raise ValueError(f"{name} must be integers, got {twists}")
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != len(target_twists):
             raise ValueError(
@@ -221,10 +225,6 @@ class GradedModule:
     @property
     def num_vars(self):
         return self.presentation.num_vars
-
-    @property
-    def dim_projective_space(self):
-        return self.num_vars - 1
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)

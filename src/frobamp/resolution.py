@@ -19,6 +19,10 @@ vector is a redundant generator of the kernel (graded Nakayama).
 
 Over F_p[x_0..x_n] every graded module has projective dimension at most
 n + 1, so the minimal chain always terminates within num_vars maps.
+
+The module's Hilbert data is one cached ``HilbertSeries``, whose numerator
+is the K-polynomial sum_k (-1)^k sum t^twist over the resolution: dim M_d,
+the Hilbert polynomial, the generic rank and the zero-sheaf test read it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import groebner
 from .linalg import rank_mod
@@ -214,21 +218,59 @@ def minimal_resolution(module: GradedModule) -> FreeResolution:
     return res
 
 
-# -- Hilbert polynomial ------------------------------------------------------
+# -- Hilbert series ----------------------------------------------------------
 
-def _binomial_poly_coeffs(shift: int, m: int):
-    """Coefficients of C(d + shift, m) as a polynomial in d, exact."""
-    coeffs = [Fraction(1)]
-    for k in range(m):
-        # multiply by (d + shift - k)
-        root = shift - k
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i] += c * root
-            new[i + 1] += c
-        coeffs = new
-    f = Fraction(1, factorial(m)) if m else Fraction(1)
-    return [c * f for c in coeffs]
+@dataclass(frozen=True, slots=True)
+class HilbertSeries:
+    """The Hilbert series N(t) / (1 - t)^num_vars of a graded module.
+
+    ``terms`` are the sorted nonzero (exponent, coefficient) pairs of the
+    integer numerator N(t); every other Hilbert datum derives from them.
+    """
+
+    num_vars: int
+    terms: tuple
+
+    @classmethod
+    def from_terms(cls, num_vars, terms):
+        """The series whose numerator is the sum of the monomials c t^j."""
+        acc = Counter()
+        for j, c in terms:
+            acc[j] += c
+        return cls(num_vars, tuple(sorted(t for t in acc.items() if t[1])))
+
+    def at(self, d: int) -> int:
+        """The coefficient of t^d: sum of c C(d - j + n, n) over j <= d."""
+        n = self.num_vars - 1
+        return sum(c * comb(d - j + n, n) for j, c in self.terms if j <= d)
+
+    def polynomial(self):
+        """Ascending Fraction coefficients of the Hilbert polynomial: the
+        sum of c C(d - j + n, n), expanded in integers, over n!."""
+        n = self.num_vars - 1
+        coeffs = [0] * (n + 1)
+        for j, c in self.terms:
+            row = [c]
+            for k in range(n):  # multiply by (d + n - j - k)
+                row = [a * (n - j - k) + b
+                       for a, b in zip(row + [0], [0] + row)]
+            coeffs = [a + b for a, b in zip(coeffs, row)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(Fraction(a, factorial(n)) for a in coeffs)
+
+
+def hilbert_series(module: GradedModule) -> HilbertSeries:
+    """The module's Hilbert series, cached: its numerator is the
+    K-polynomial sum_k (-1)^k sum t^twist over the minimal resolution."""
+    series = module._cache.get("hilbert_series")
+    if series is None:
+        res = minimal_resolution(module)
+        series = HilbertSeries.from_terms(module.num_vars, (
+            (t, (-1) ** k) for k in range(res.length + 1)
+            for t in res.module_twists(k)))
+        module._cache["hilbert_series"] = series
+    return series
 
 
 def hilbert_polynomial(module: GradedModule):
@@ -237,35 +279,13 @@ def hilbert_polynomial(module: GradedModule):
     Equals the Euler characteristic of the twisted sheafification at every
     integer, and the Hilbert function in all large degrees.
     """
-    cached = module._cache.get("hilbert_poly")
-    if cached is not None:
-        return cached
-    res = minimal_resolution(module)
-    nv = module.num_vars
-    n = nv - 1
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(res.length + 1):
-        sign = -1 if k % 2 else 1
-        for t in res.module_twists(k):
-            for i, c in enumerate(_binomial_poly_coeffs(n - t, n)):
-                coeffs[i] += sign * c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    out = tuple(coeffs)
-    module._cache["hilbert_poly"] = out
-    return out
+    return hilbert_series(module).polynomial()
 
 
 def hilbert_function(module: GradedModule, d: int) -> int:
-    """dim_k M_d, by additivity along the cached minimal resolution.
-
-    dim M_d = sum_k (-1)^k dim (F_k)_d; the dense rank of the presentation
-    piece (``GradedModule.hilbert_function``) is kept as the test oracle.
-    """
-    res = minimal_resolution(module)
-    nv = module.num_vars
-    return sum((-1) ** k * free_piece_dimension(nv, res.module_twists(k), d)
-               for k in range(res.length + 1))
+    """dim_k M_d from the Hilbert series; the dense rank of the
+    presentation (``GradedModule.hilbert_function``) is the test oracle."""
+    return hilbert_series(module).at(d)
 
 
 def evaluate_polynomial(coeffs, d: int):
@@ -281,12 +301,6 @@ def sheaf_is_zero(module: GradedModule) -> bool:
 
 
 def generic_rank(module: GradedModule) -> int:
-    """Rank of the sheafification, from the Hilbert polynomial's top term."""
-    coeffs = hilbert_polynomial(module)
-    n = module.num_vars - 1
-    if len(coeffs) < n + 1:
-        return 0
-    r = coeffs[n] * factorial(n)
-    if r.denominator != 1:
-        raise AssertionError("Hilbert polynomial top term is not integral")
-    return int(r)
+    """Rank of the sheafification: N(1), which is n! times the Hilbert
+    polynomial's degree-n coefficient."""
+    return sum(c for _, c in hilbert_series(module).terms)

@@ -137,6 +137,15 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "frobsplit", "--n", "1", "--d", "2",
                        "--i", "5")
     assert code == 2 and "outside" in err
+    # bad YAML, an inhomogeneous entry, exponent overflow, a boolean twist
+    point = "prime: 5\nnum_vars: 3\ntarget_twists: [0]\nsource_twists: [1]\n"
+    for text in ("prime: [unclosed",
+                 point + 'matrix:\n  - ["x0 + x1^2"]\n',
+                 point + 'matrix:\n  - ["x0^99999999999999999999"]\n',
+                 point.replace("[1]", "[true]") + 'matrix:\n  - ["x0"]\n'):
+        bad.write_text(text)
+        code, _, err = run(capsys, "famp", str(bad))
+        assert code == 2 and "error:" in err, text
 
 
 def test_exit_code_1_on_failed_checks(capsys, monkeypatch):

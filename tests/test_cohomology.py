@@ -1,21 +1,24 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from strategies import dual_rank_modules
 
 from frobamp import catalog
-from frobamp.cohomology import (_dual_maps, _dual_rank, _monomials_in_ideal,
-                                _mumford_scan, bott_oracle, cohomology_table,
+from frobamp.cohomology import (_dual_maps, _mumford_scan, bott_oracle,
+                                cohomology_table,
                                 euler_characteristic_matches_hilbert,
-                                generated_in_degrees, minreg_areg,
-                                reg_of_space, regularity, sheaf_cohomology)
-from frobamp.groebner import hilbert_numerator
+                                ext_dual_dimension, generated_in_degrees,
+                                minreg_areg, reg_of_space, regularity,
+                                sheaf_cohomology)
+from frobamp.groebner import buchberger, hilbert_numerator
 from frobamp.linalg import rank_mod
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
-                             free_module, frobenius_module, tensor,
-                             zero_module)
+                             free_module, free_piece_dimension,
+                             frobenius_module, tensor, twist, zero_module)
 from frobamp.polynomials import MultiPoly, monomials_of_degree
+from frobamp.resolution import HilbertSeries
 
 
 def test_line_bundle_values_on_p2():
@@ -303,57 +306,30 @@ def test_regularity_scan_across_long_unsaturated_stretch():
     assert rep.module_regularity_bound == 7
 
 
-# -- dual ranks from lead terms against the dense oracle ----------------------
+# -- Ext pieces from Hilbert series against the dense oracle -----------------
 
-@st.composite
-def _form(draw, p, nv, degree):
-    monos = monomials_of_degree(nv, degree)
-    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
-                           max_size=len(monos)))
-    return MultiPoly(nv, p, dict(zip(monos, coeffs)))
-
-
-@st.composite
-def dual_rank_modules(draw):
-    """Random ideals and 3x4 linear matrices on P^2, 2-3 forms on P^3,
-    catalog bundles, and e = 1 Frobenius pullbacks of all but the P^3
-    forms; the coefficients are not filtered, so zero forms occur."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    kind = draw(st.sampled_from(("ideal", "matrix", "forms on P^3",
-                                 "catalog")))
-    if kind == "ideal":
-        degrees = tuple(draw(st.lists(st.sampled_from((2, 3)),
-                                      min_size=2, max_size=3)))
-        row = tuple(draw(_form(p, 3, d)) for d in degrees)
-        module = GradedModule(GradedMap(p, 3, (0,), degrees, (row,)))
-    elif kind == "matrix":
-        entries = tuple(tuple(draw(_form(p, 3, 1)) for _ in range(4))
-                        for _ in range(3))
-        module = GradedModule(GradedMap(p, 3, (0,) * 3, (1,) * 4, entries))
-    elif kind == "forms on P^3":
-        degrees = tuple(draw(st.lists(st.sampled_from((1, 2)),
-                                      min_size=2, max_size=3)))
-        row = tuple(draw(_form(p, 4, d)) for d in degrees)
-        return GradedModule(GradedMap(p, 4, (0,), degrees, (row,)))
-    else:
-        n = draw(st.sampled_from((2, 3)))
-        module = draw(st.sampled_from((
-            catalog.tangent_bundle(p, n), catalog.form_bundle(p, n, 1),
-            catalog.irrelevant_ideal(p, n), catalog.point_ideal(p),
-            catalog.line_bundle_sum(p, n, [0, 2]))))
-    if draw(st.booleans()):
-        module = frobenius_module(module, 1)
-    return module
-
-
+# derandomize seeds from the test's source, so the seed pins the 40 modules
+# across edits of the body; other draws can be far heavier for the dense rank
+@seed(int("8058490a5e718fcbed1b71456e7835f94f7d9a6bfb1fef6f11792f605aeb1145"
+          "2700aec72fdea6d089fdf2235dd245c7", 16))
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(dual_rank_modules())
 def test_dual_ranks_match_the_dense_rank(module):
-    _, duals = _dual_maps(module)
-    for k, dual in enumerate(duals):
+    # dim Ext^j_e = dim (F*_j)_e - rank of the outgoing and the incoming
+    # dual differential in degree e, both ranks dense
+    res, duals = _dual_maps(module)
+    nv, p = module.num_vars, module.prime
+    for j in range(res.length + 1):
+        twists = [nv - t for t in res.module_twists(j)]
         for e in range(-8, 9):
-            assert _dual_rank(module, k, e) == \
-                rank_mod(dual.degree_piece(e), module.prime), (k, e)
+            dim = free_piece_dimension(nv, twists, e)
+            if j < res.length:
+                dim -= rank_mod(duals[j].degree_piece(e), p)
+            if j >= 1:
+                dim -= rank_mod(duals[j - 1].degree_piece(e), p)
+            assert ext_dual_dimension(module, j, e) == dim, (j, e)
+    assert ext_dual_dimension(module, -1, 0) == 0
+    assert ext_dual_dimension(module, res.length + 1, 0) == 0
 
 
 @st.composite
@@ -367,15 +343,20 @@ def monomial_sets(draw):
     return nv, gens
 
 
+def _quotient_series(nv, gens):
+    return HilbertSeries.from_terms(nv, enumerate(hilbert_numerator(gens)))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(monomial_sets())
 def test_hilbert_numerator_counts_the_monomials_of_the_ideal(case):
     nv, gens = case
-    numerator = hilbert_numerator(gens)
+    series = _quotient_series(nv, gens)
     for d in range(9):
-        inside = sum(1 for m in monomials_of_degree(nv, d)
-                     if any(all(a <= b for a, b in zip(g, m)) for g in gens))
-        assert _monomials_in_ideal(numerator, nv, d) == inside, d
+        standard = sum(
+            1 for m in monomials_of_degree(nv, d)
+            if not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+        assert series.at(d) == standard, d
 
 
 def test_hilbert_numerator_of_the_empty_set_and_the_unit_ideal():
@@ -383,10 +364,11 @@ def test_hilbert_numerator_of_the_empty_set_and_the_unit_ideal():
     assert hilbert_numerator([(0, 0, 0), (1, 2, 0)]) == ()
     assert hilbert_numerator([(1, 0), (0, 1)]) == (1, -2, 1)
     for nv in (1, 3):
-        assert _monomials_in_ideal((), nv, 4) == len(
-            monomials_of_degree(nv, 4))
-        assert _monomials_in_ideal((1,), nv, 4) == 0
-        assert _monomials_in_ideal((), nv, -1) == 0
+        unit, zero = (0,) * nv, _quotient_series(nv, [])
+        assert _quotient_series(nv, [unit]).at(4) == 0
+        assert _quotient_series(nv, [unit]).terms == ()
+        assert zero.at(4) == len(monomials_of_degree(nv, 4))
+        assert zero.at(-1) == 0
 
 
 def test_regularity_and_wide_tables_never_build_a_dense_map_piece(
@@ -394,11 +376,44 @@ def test_regularity_and_wide_tables_never_build_a_dense_map_piece(
     def dense(self, d):
         raise AssertionError("dense degree piece built")
 
+    # the cokernel series are cached: one Buchberger run per dual
+    # differential serves a whole scan or table
+    runs = []
     monkeypatch.setattr(GradedMap, "degree_piece", dense)
-    rep = regularity(frobenius_module(catalog.irrelevant_ideal(2, 2), 4))
+    monkeypatch.setattr("frobamp.cohomology.buchberger",
+                        lambda *args: runs.append(1) or buchberger(*args))
+    module = frobenius_module(catalog.irrelevant_ideal(2, 2), 4)
+    rep = regularity(module)
     assert rep.sheaf_regularity == 0
     assert rep.module_regularity_bound == 46
+    assert 0 < len(runs) <= len(_dual_maps(module)[1])
+    runs.clear()
     t = catalog.tangent_bundle(5, 3)
     tt = tensor(t, t)
     table = cohomology_table(tt, -8, 8)
     assert euler_characteristic_matches_hilbert(tt, table)
+    assert cohomology_table(tt, -12, 12).h[1][4:-4] == table.h[1]
+    assert 0 < len(runs) <= len(_dual_maps(tt)[1])
+
+
+# -- table properties on random modules ---------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(dual_rank_modules(), st.integers(-3, 3))
+def test_twisting_shifts_the_table(module, a):
+    table = cohomology_table(module, -5, 5)
+    assert euler_characteristic_matches_hilbert(module, table)
+    assert cohomology_table(twist(module, a), -5, 5).h == \
+        cohomology_table(module, -5 + a, 5 + a).h
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(st.data())
+def test_cohomology_tables_add_over_direct_sums(data):
+    a = data.draw(dual_rank_modules())
+    b = data.draw(dual_rank_modules(a.prime, a.num_vars))
+    tables = [cohomology_table(m, -5, 5) for m in (a, b, direct_sum([a, b]))]
+    for m, table in zip((a, b), tables):
+        assert euler_characteristic_matches_hilbert(m, table)
+    assert tables[2].h == tuple(tuple(x + y for x, y in zip(ra, rb))
+                                for ra, rb in zip(tables[0].h, tables[1].h))

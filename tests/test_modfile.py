@@ -3,6 +3,8 @@ import pytest
 from frobamp import catalog
 from frobamp.modfile import (ModuleFileError, dumps_module, file_digest,
                              load_module, loads_module)
+from frobamp.modules import GradedMap
+from frobamp.polynomials import MultiPoly
 
 GOOD = """\
 prime: 5
@@ -90,3 +92,19 @@ def test_not_yaml_at_all():
         loads_module("just some text")
     with pytest.raises(ModuleFileError):
         loads_module("prime: [unclosed")
+
+
+def test_booleans_are_not_integers():
+    # True == 1 and hash(True) == hash(1): a boolean twist taken for an
+    # integer would be stored in the term table that all maps share
+    cases = (("num_vars", GOOD.replace("num_vars: 3", "num_vars: true")),
+             ("target_twists", GOOD.replace("[-1, -1, -1]", "[-1, false, -1]")),
+             ("source_twists", GOOD.replace("[0]", "[true]")),
+             ("target_twists", "prime: 5\nnum_vars: 3\ntarget_twists: [false]\n"
+              "source_twists: [true]\nmatrix:\n  - [\"x0\"]\n"))
+    for field, text in cases:
+        with pytest.raises(ModuleFileError, match=field):
+            loads_module(text)
+    x0 = MultiPoly.variable(3, 5, 0)
+    with pytest.raises(ValueError, match="source_twists"):
+        GradedMap(5, 3, (0,), (True,), ((x0,),))

@@ -1,9 +1,11 @@
 import hashlib
 import random
 from collections import Counter
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import plane_modules
 
 from frobamp import catalog
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
@@ -132,8 +134,22 @@ def test_truncated_resolution_respects_cap():
 # -- Hilbert function from the resolution against the dense oracle -----------
 
 def _matches_dense_oracle(module):
-    return all(hilbert_function(module, d) == module.hilbert_function(d)
-               for d in range(-8, 9))
+    """The series' Hilbert function on -8..8, and its Hilbert polynomial at
+    num_vars consecutive degrees from the top resolution twist on, where
+    the two agree, against the dense rank; generic_rank and sheaf_is_zero
+    against the polynomial."""
+    res = minimal_resolution(module)
+    top = max((t for k in range(res.length + 1)
+               for t in res.module_twists(k)), default=0)
+    coeffs = hilbert_polynomial(module)
+    n = module.num_vars - 1
+    top_coeff = coeffs[n] * factorial(n) if len(coeffs) > n else 0
+    return (all(hilbert_function(module, d) == module.hilbert_function(d)
+                for d in range(-8, 9))
+            and all(evaluate_polynomial(coeffs, d) == module.hilbert_function(d)
+                    for d in range(top, top + n + 1))
+            and generic_rank(module) == top_coeff
+            and sheaf_is_zero(module) == (not coeffs))
 
 
 def test_hilbert_function_matches_dense_oracle():
@@ -180,6 +196,13 @@ def catalog_expressions(draw):
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(catalog_expressions())
 def test_hilbert_function_matches_dense_oracle_on_catalog(module):
+    assert _matches_dense_oracle(module)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(plane_modules())
+def test_hilbert_function_matches_dense_oracle_on_random_plane_modules(
+        module):
     assert _matches_dense_oracle(module)
 
 
