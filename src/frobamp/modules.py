@@ -9,8 +9,8 @@ s_c - t_r.
 A map stores only its columns, in the Groebner engine's sparse vector form
 {(exps, r): residue}, so resolutions, composition, the functors and the
 relation Groebner basis all work on one representation.  The matrix of
-``MultiPoly`` entries is a derived view, built on demand for printing,
-Frobenius pullback and point evaluation.
+``MultiPoly`` entries is a derived view, built on demand for printing and
+the Frobenius pullback.
 
 Modules are never normalized behind the caller's back; two presentations of
 isomorphic modules compare unequal, and only invariants (Hilbert data,
@@ -20,6 +20,7 @@ cohomology) are meant to be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import TYPE_CHECKING
 
 from . import groebner
@@ -267,36 +268,6 @@ class GradedModule:
         return not any(groebner.normal_form(vec, gb, self.prime)
                        for vec in gm.columns)
 
-    def _standard_basis(self, d: int):
-        """(standard monomials of degree d, term -> position), cached."""
-        key = ("std", d)
-        cached = self._cache.get(key)
-        if cached is None:
-            # buchberger puts each vector's lead first
-            leads = [next(iter(g)) for g in self.column_groebner()]
-            basis = tuple(
-                (mono, comp)
-                for comp, t in enumerate(self.presentation.target_twists)
-                for mono in monomials_of_degree(self.num_vars, d - t)
-                if not any(groebner.term_divides(lt, (mono, comp))
-                           for lt in leads))
-            cached = basis, {t: i for i, t in enumerate(basis)}
-            self._cache[key] = cached
-        return cached
-
-    def standard_monomials(self, d: int):
-        """Monomial basis of M_d: terms outside the lead-term submodule."""
-        return self._standard_basis(d)[0]
-
-    def coordinates(self, vec, d: int):
-        """Coordinates of a degree-d element of the ambient free module in M_d."""
-        basis, index = self._standard_basis(d)
-        nf = groebner.normal_form(vec, self.column_groebner(), self.prime)
-        out = [0] * len(basis)
-        for term, v in nf.items():
-            out[index[term]] = v
-        return out
-
 
 def free_module(prime, num_vars, twists) -> GradedModule:
     """⊕ R(-t) for t in twists, presented with no relations."""
@@ -436,18 +407,13 @@ class ModuleHom:
         return self.target.relations_contain(
             self.matrix.compose(self.source.presentation))
 
-    def degree_matrix(self, d: int) -> np.ndarray:
-        """Matrix of M_d -> N_d in standard-monomial coordinates."""
-        import numpy as np
-
-        src_basis = self.source.standard_monomials(d)
-        tgt_basis = self.target.standard_monomials(d)
-        a = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
-        for j, (mono, comp) in enumerate(src_basis):
-            image = {(tuple(x + y for x, y in zip(exps, mono)), r): v
-                     for (exps, r), v in self.matrix.columns[comp].items()}
-            a[:, j] = self.target.coordinates(image, d)
-        return a
+    def cokernel_presentation(self) -> GradedMap:
+        """Presentation of the target modulo the image: the target's
+        relations followed by the columns of the map."""
+        rel, m = self.target.presentation, self.matrix
+        return GradedMap.from_columns(
+            m.prime, m.num_vars, m.target_twists,
+            rel.source_twists + m.source_twists, rel.columns + m.columns)
 
 
 # -- locally-free spot check -------------------------------------------------
@@ -477,19 +443,25 @@ def spot_check_constant_rank(pres: GradedMap, max_points=1000):
     is constant, and None when the check was skipped because the point
     count exceeds ``max_points``.
     """
-    import numpy as np
-
     if pres.source_rank == 0 or pres.target_rank == 0:
         return True, "free module"
     pts = projective_points(pres.num_vars, pres.prime)
     if len(pts) > max_points:
         return None, f"skipped ({len(pts)} points exceed {max_points})"
-    rows = pres.entries
+    p, zero = pres.prime, (0,) * pres.num_vars
     ranks = set()
     for pt in pts:
-        a = np.array([[f.evaluate(pt).value for f in row] for row in rows],
-                     dtype=np.int64)
-        ranks.add(rank_mod(a, pres.prime))
+        # the columns at the point, as constant vectors; their reduced
+        # Groebner basis is an echelon form, one element per pivot
+        cols = []
+        for vec in pres.columns:
+            col = {}
+            for (exps, r), v in vec.items():
+                at = prod(pow(x, e, p) for x, e in zip(pt, exps))
+                col[r] = (col.get(r, 0) + v * at) % p
+            cols.append({(zero, r): v for r, v in col.items() if v})
+        ranks.add(len(groebner.buchberger(cols, (0,) * pres.target_rank,
+                                          p)))
     if len(ranks) > 1:
         return False, f"presentation rank varies over points: {sorted(ranks)}"
     return True, f"constant rank {ranks.pop()} at {len(pts)} points"

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import dual_rank_modules
 
 from frobamp import catalog
 from frobamp.amplitude import (amplitude_bound_from_regularity,
@@ -9,9 +12,10 @@ from frobamp.amplitude import (amplitude_bound_from_regularity,
                                check_tensor_subadditivity, f_ample_test,
                                f_amplitude)
 from frobamp.cohomology import regularity, sheaf_cohomology
-from frobamp.modules import (ModuleHom, direct_sum, restrict_hyperplane,
-                             tensor, twist, zero_module)
+from frobamp.modules import (ModuleHom, direct_sum, frobenius_module,
+                             restrict_hyperplane, tensor, twist, zero_module)
 from frobamp.polynomials import MultiPoly
+from frobamp.resolution import sheaf_is_zero
 
 
 def test_line_bundle_amplitudes():
@@ -21,6 +25,14 @@ def test_line_bundle_amplitudes():
         assert f_amplitude(catalog.line_bundle(p, 2, -5)).phi == 2
         assert f_ample_test(catalog.line_bundle(p, 2, 3))
         assert not f_ample_test(catalog.line_bundle(p, 2, 0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.sampled_from((2, 3)).flatmap(dual_rank_modules))
+def test_amplitude_is_frobenius_invariant_on_random_modules(module):
+    assume(not sheaf_is_zero(module))
+    assert f_amplitude(frobenius_module(module, 1)).phi == \
+        f_amplitude(module).phi
 
 
 def test_tangent_amplitude_with_frobenius_sampling():
@@ -121,6 +133,30 @@ def test_exact_sequence_checks_reject_bad_maps():
                                   ((one, z, z),))
     with pytest.raises(ValueError):
         check_exact_sequence_bounds(h1, proj)
+    # each rank test names the first degree it fails in
+    zero_in = ModuleHom.from_entries(h1.source, e2, ((z,),) * 3)
+    with pytest.raises(ValueError, match="first map not injective in "
+                                         "degree 0"):
+        check_exact_sequence_bounds(zero_in, h2)
+    zero_out = ModuleHom.from_entries(e2, h2.target, ((z,) * 3,) * 3)
+    with pytest.raises(ValueError, match="second map not surjective in "
+                                         "degree -1"):
+        check_exact_sequence_bounds(h1, zero_out)
+    o = catalog.structure_sheaf(p, 2)
+    o3 = catalog.line_bundle_sum(p, 2, [0] * 3)
+    first = ModuleHom.from_entries(o, o3, ((one,), (z,), (z,)))
+    last = ModuleHom.from_entries(o3, o, ((z, z, one),))
+    with pytest.raises(ValueError, match="not exact in the middle, "
+                                         "degree 0"):
+        check_exact_sequence_bounds(first, last)
+
+
+def test_exact_sequence_refuses_an_empty_window():
+    h1, h2 = catalog.euler_sequence(3, 2)
+    with pytest.raises(ValueError, match=r"window range\(3, 1\) is empty"):
+        check_exact_sequence_bounds(h1, h2, window=range(3, 1))
+    rep = check_exact_sequence_bounds(h1, h2, window=range(3, 4))
+    assert rep.window == (3, 3)
 
 
 def test_exact_sequence_euler():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from frobamp.cli import main
@@ -183,3 +186,26 @@ def test_structured_same_bytes_as_two_runs(capsys):
     b = run(capsys, "resolve", str(MODFILES / "tangent_p3.mod"),
             "--format", "structured")
     assert a == b
+
+
+def test_production_paths_never_load_numpy():
+    # numpy backs only the dense test oracles and verify's exactness check
+    script = f"""
+import contextlib, io, sys
+from frobamp import catalog
+from frobamp.amplitude import check_exact_sequence_bounds
+from frobamp.cli import main
+from frobamp.cohomology import generated_in_degrees
+mod = {str(MODFILES / "tangent_p3.mod")!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["famp", mod], ["regularity", mod], ["resolve", mod],
+                 ["minreg", "--max-e", "1", mod], ["cohomology", mod]):
+        assert main(argv) == 0, argv
+check_exact_sequence_bounds(*catalog.euler_sequence(3, 2))
+assert generated_in_degrees(catalog.tangent_bundle(3, 2))
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    out = subprocess.run([sys.executable, "-c", script], cwd=REPO,
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

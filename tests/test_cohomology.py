@@ -250,6 +250,11 @@ def test_global_generation_checks():
     # O(-1) has no sections at all, so multiplication never surjects onto
     # nonzero pieces
     assert not generated_in_degrees(catalog.line_bundle(3, 2, -1), 2)
+    # O + O(-3): the second summand's generator sits in degree 3, so only
+    # the top degree of the scan fails
+    late = catalog.line_bundle_sum(3, 2, [0, -3])
+    assert generated_in_degrees(late, 2)
+    assert not generated_in_degrees(late, 3)
 
 
 def test_global_generation_requires_section_match():

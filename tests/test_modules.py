@@ -1,16 +1,16 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import PRIMES, dual_rank_modules
 
 from frobamp import catalog
+from frobamp.cohomology import cokernel_series, sheaf_cohomology
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              frobenius_module, projective_points,
                              restrict_hyperplane, spot_check_constant_rank,
                              tensor, twist, zero_module)
 from frobamp.polynomials import MultiPoly, monomials_of_degree, parse_poly
-from frobamp.cohomology import sheaf_cohomology
+from frobamp.resolution import hilbert_function
 
 
 def test_graded_map_validates_homogeneity():
@@ -38,14 +38,31 @@ def test_hilbert_function_tangent():
     assert t.hilbert_function(0) == 8
 
 
-def test_hilbert_matches_standard_monomial_count():
-    rng = random.Random(3)
-    for module in (catalog.point_ideal(3), catalog.tangent_bundle(3, 2),
-                   catalog.form_bundle(3, 2, 1)):
-        for _ in range(4):
-            d = rng.randrange(-1, 5)
-            assert module.hilbert_function(d) == \
-                len(module.standard_monomials(d))
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(dual_rank_modules())
+def test_cokernel_series_matches_the_dense_hilbert_function(module):
+    series = cokernel_series(module.presentation)
+    for d in range(-2, 7):
+        assert series.at(d) == module.hilbert_function(d), d
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_hom_ranks_from_the_series_match_the_dense_rank(p):
+    # rank of M_d -> N_d = dim N_d - dim (N/image)_d, by the series and by
+    # dense ranks of the same cokernel presentation
+    sequences = (catalog.euler_sequence(p, 2), catalog.euler_sequence(p, 3),
+                 catalog.point_koszul_sequence(p), catalog.form_sequence(p, 2),
+                 catalog.form_sequence(p, 3),
+                 catalog.split_sequence(catalog.line_bundle(p, 2, 2),
+                                        catalog.tangent_bundle(p, 2)))
+    for hom in (h for pair in sequences for h in pair):
+        pres = hom.cokernel_presentation()
+        series = cokernel_series(pres)
+        dense = GradedModule(pres, spot_check=False)
+        for d in range(-3, 6):
+            rank = hilbert_function(hom.target, d) - series.at(d)
+            assert rank == (hom.target.hilbert_function(d)
+                            - dense.hilbert_function(d)), (hom, d)
 
 
 def test_twist_basics():
@@ -195,15 +212,6 @@ def test_spot_check_reports_a_skip_as_skipped():
     status, _ = spot_check_constant_rank(
         catalog.tangent_bundle(3, 3).presentation)
     assert status is True
-
-
-def test_module_coordinates_round_trip():
-    m = catalog.point_ideal(3)
-    basis = m.standard_monomials(2)
-    assert len(basis) == m.hilbert_function(2) == 5
-    for k, term in enumerate(basis):
-        coords = m.coordinates({term: 1}, 2)
-        assert coords[k] == 1 and sum(coords) == 1
 
 
 def test_tensor_rank():
