@@ -23,7 +23,7 @@ from math import floor
 
 from .cohomology import (CohomologyTable, cohomology_table,
                          cokernel_series, regularity)
-from .modules import GradedModule, ModuleHom, frobenius_module
+from .modules import GradedModule, ModuleHom, frobenius_presentation
 from .resolution import generic_rank, hilbert_function, sheaf_is_zero
 
 
@@ -54,8 +54,11 @@ def f_amplitude(module: GradedModule, frobenius_check=()) -> AmplitudeReport:
     """Exact amplitude from the finite twist window.
 
     ``frobenius_check`` lists pullback exponents e at which the invariance
-    phi(M^(p^e)) = phi(M) is re-verified by direct recomputation; the value
-    of phi itself never needs Frobenius iteration.
+    phi(M^(p^e)) = phi(M) is re-verified by direct recomputation: the
+    pullback is a fresh module on the pulled-back presentation, without the
+    caches ``frobenius_module`` derives from M's, so its table comes from
+    its own resolution.  The value of phi itself never needs Frobenius
+    iteration.
     """
     if sheaf_is_zero(module):
         raise ValueError("amplitude of the zero sheaf is undefined")
@@ -63,7 +66,8 @@ def f_amplitude(module: GradedModule, frobenius_check=()) -> AmplitudeReport:
     table = cohomology_table(module, -n - 1, 0)
     phi = _phi_from_table(table)
     for e in frobenius_check:
-        pulled = frobenius_module(module, e)
+        pulled = GradedModule(frobenius_presentation(module.presentation, e),
+                              module.locally_free, spot_check=False)
         pulled_phi = _phi_from_table(cohomology_table(pulled, -n - 1, 0))
         if pulled_phi != phi:
             raise AssertionError(

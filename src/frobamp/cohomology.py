@@ -27,9 +27,9 @@ dense ranks (``GradedMap.degree_piece``, and ``GradedModule.hilbert_function``
 for the module itself) are test oracles.
 
 The regularity of a sheaf is the least m making all higher cohomology of the
-properly twisted sheaf vanish; sheaves with zero-dimensional support satisfy
-the vanishing for every m and get ``None`` (read: minus infinity) instead of
-an integer.
+properly twisted sheaf vanish, read off the initial degrees of the Ext
+series; sheaves with zero-dimensional support satisfy the vanishing for
+every m and get ``None`` (read: minus infinity) instead of an integer.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .groebner import buchberger, hilbert_numerator
 # nothing here calls rank_mod: the import stays only for the alias that
 # perfbench's tracer test asserts
 from .linalg import rank_mod  # noqa: F401
-from .modules import GradedMap, GradedModule
+from .modules import GradedMap, GradedModule, frobenius_module
 from .polynomials import monomials_of_degree
 from .resolution import (HilbertSeries, evaluate_polynomial, hilbert_function,
                          hilbert_polynomial, minimal_resolution,
@@ -97,22 +97,28 @@ def _coker_series(module: GradedModule, k: int) -> HilbertSeries:
     return series
 
 
-def ext_dual_dimension(module: GradedModule, j: int, e: int) -> int:
-    """dim Ext^j_R(M, R(-n-1))_e, read off the cached Hilbert series
-    coker(j - 1) + coker(j) - F*_{j+1} (only coker(j - 1) at the end)."""
-    res = minimal_resolution(module)
-    if j < 0 or j > res.length:
-        return 0
+def ext_series(module: GradedModule, j: int) -> HilbertSeries:
+    """Hilbert series of Ext^j_R(M, R(-n-1)), cached: coker(j - 1) +
+    coker(j) - F*_{j+1} (only coker(j - 1) at the end), and zero for j
+    outside 0..length."""
     series = module._cache.get(("ext_series", j))
     if series is None:
-        terms = list(_coker_series(module, j - 1).terms)
-        if j < res.length:
+        res = minimal_resolution(module)
+        terms = []
+        if 0 <= j <= res.length:
+            terms += _coker_series(module, j - 1).terms
+        if 0 <= j < res.length:
             terms += _coker_series(module, j).terms
             terms += [(module.num_vars - t, -1)
                       for t in res.module_twists(j + 1)]
         series = HilbertSeries.from_terms(module.num_vars, terms)
         module._cache[("ext_series", j)] = series
-    return series.at(e)
+    return series
+
+
+def ext_dual_dimension(module: GradedModule, j: int, e: int) -> int:
+    """dim Ext^j_R(M, R(-n-1))_e, a coefficient of ``ext_series``."""
+    return ext_series(module, j).at(e)
 
 
 def sheaf_cohomology(module: GradedModule, i: int, d: int) -> int:
@@ -193,24 +199,16 @@ def reg_of_space(num_vars: int, prime: int) -> int:
     return 1
 
 
-def _satisfies_vanishing(module: GradedModule, m: int) -> bool:
-    n = module.num_vars - 1
-    return all(sheaf_cohomology(module, i, m - i) == 0
-               for i in range(1, n + 1))
-
-
-def _mumford_scan(module: GradedModule, bound: int) -> int:
-    if not _satisfies_vanishing(module, bound):
-        raise AssertionError(
-            "vanishing fails at the Betti bound; resolution is inconsistent")
-    m = bound
-    while _satisfies_vanishing(module, m - 1):
-        m -= 1
-    return m
-
-
 def regularity(module: GradedModule) -> RegularityReport:
-    """Least m with h^i of the (m - i)-twisted sheaf zero for all i > 0."""
+    """Least m with h^i of the (m - i)-twisted sheaf zero for all i > 0.
+
+    For i > 0, h^i(~M(m - i)) = dim Ext^{n-i}(M, R(-n-1))_{i-m}, and a
+    nonzero Ext module vanishes below its initial degree low_i, the least
+    exponent of its series numerator, and not at it.  So m works, and so do
+    all twists above it, exactly when i - m < low_i for every nonzero
+    Ext^{n-i}: reg = max(i + 1 - low_i) over i = 1..n with Ext^{n-i} != 0.
+    The Mumford scan down from the Betti bound is the tests' oracle.
+    """
     if sheaf_is_zero(module):
         raise ValueError("regularity of the zero sheaf is undefined")
     res = minimal_resolution(module)
@@ -219,7 +217,13 @@ def regularity(module: GradedModule) -> RegularityReport:
     if len(hilbert_polynomial(module)) == 1:
         # zero-dimensional support: all higher cohomology vanishes always
         return RegularityReport(None, bound, reg_x)
-    return RegularityReport(_mumford_scan(module, bound), bound, reg_x)
+    n = module.num_vars - 1
+    reg = max(i + 1 - series.terms[0][0] for i in range(1, n + 1)
+              if (series := ext_series(module, n - i)).terms)
+    if reg > bound:
+        raise AssertionError(
+            "vanishing fails at the Betti bound; resolution is inconsistent")
+    return RegularityReport(reg, bound, reg_x)
 
 
 @dataclass(frozen=True)
@@ -245,9 +249,11 @@ class FrobeniusRegularityReport:
 
 
 def minreg_areg(module: GradedModule, e_max: int) -> FrobeniusRegularityReport:
+    """Regularities of M and of its pullbacks for e = 1..e_max; each
+    pullback's series derive from M's (``frobenius_module``), so only M
+    runs the Groebner engine."""
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
-    from .modules import frobenius_module
     regs = []
     for e in range(e_max + 1):
         m_e = module if e == 0 else frobenius_module(module, e)

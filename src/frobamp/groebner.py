@@ -210,16 +210,25 @@ def _single_component(vec) -> bool:
     return len(comps) == 1
 
 
-def buchberger(generators, twists, p):
+def buchberger(generators, twists, p, min_component=0):
     """Reduced Groebner basis of the submodule generated by ``generators``.
 
     Input vectors must be homogeneous with respect to ``twists``.  The
     result is monic, interreduced, and deterministically ordered, hence
     canonical for the fixed module order; each vector's first key is its
     leading term.
+
+    Only the elements with leads in components ``min_component`` and above
+    are returned, and only they are interreduced.  A lead has the least
+    component of its vector's terms, so those elements lie wholly in the
+    trailing components, where an element with its lead in an earlier
+    component divides no lead and reduces no term: the result is exactly
+    the trailing part of the reduced basis (``syzygies`` wants no more).
     """
-    return _interreduce(*_buchberger_basis(generators, twists, p), twists,
-                        p)
+    basis, leads = _buchberger_basis(generators, twists, p)
+    kept = [i for i, (_, comp) in enumerate(leads) if comp >= min_component]
+    return _interreduce([basis[i] for i in kept], [leads[i] for i in kept],
+                        twists, p)
 
 
 def _buchberger_basis(generators, twists, p):
@@ -376,12 +385,10 @@ def syzygies(generators, twists, p, num_vars, degrees=None):
         augmented.append(vec)
     syz = []
     syz_degrees = []
-    for g in buchberger(augmented, aug_twists, p):
-        # the lead (first key) has the least component of g's terms
+    for g in buchberger(augmented, aug_twists, p, min_component=m):
         lexps, lcomp = next(iter(g))
-        if lcomp >= m:
-            syz.append({(exps, comp - m): v for (exps, comp), v in g.items()})
-            syz_degrees.append(sum(lexps) + aug_twists[lcomp])
+        syz.append({(exps, comp - m): v for (exps, comp), v in g.items()})
+        syz_degrees.append(sum(lexps) + aug_twists[lcomp])
     return syz, syz_degrees
 
 

@@ -37,9 +37,15 @@ def loads_module(text: str, prime: int | None = None) -> GradedModule:
     import yaml
 
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ModuleFileError(f"not a valid document: {exc}") from exc
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader))
+    except yaml.YAMLError:
+        # libyaml words its errors differently, so a document it refuses
+        # is parsed again by the pure-Python loader, whose error stands
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ModuleFileError(f"not a valid document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModuleFileError("module document must be a mapping")
     unknown = set(doc) - _ALLOWED

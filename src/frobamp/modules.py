@@ -10,7 +10,7 @@ A map stores only its columns, in the Groebner engine's sparse vector form
 {(exps, r): residue}, so resolutions, composition, the functors and the
 relation Groebner basis all work on one representation.  The matrix of
 ``MultiPoly`` entries is a derived view, built on demand for printing and
-the Frobenius pullback.
+the catalog's sequences.
 
 Modules are never normalized behind the caller's back; two presentations of
 isomorphic modules compare unequal, and only invariants (Hilbert data,
@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 from . import groebner
 from .linalg import rank_mod
-from .polynomials import (check_prime, count_monomials, frobenius_poly,
-                          monomial_index, monomials_of_degree)
+from .polynomials import (MAX_EXPONENT, check_prime, count_monomials,
+                          frobenius_poly, monomial_index, monomials_of_degree)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -293,24 +293,67 @@ def twist(module: GradedModule, d: int) -> GradedModule:
     return GradedModule(shifted, module.locally_free, spot_check=False)
 
 
-def frobenius_module(module: GradedModule, e: int) -> GradedModule:
-    """Frobenius pullback: entries through the p^e power map, twists scaled.
+def _frobenius_map(gm: GradedMap, q: int) -> GradedMap:
+    """gm under the substitution x_i -> x_i^q, every twist times q."""
+    return GradedMap.from_columns(
+        gm.prime, gm.num_vars, tuple(t * q for t in gm.target_twists),
+        tuple(s * q for s in gm.source_twists),
+        [{(tuple(a * q for a in exps), r): v for (exps, r), v in vec.items()}
+         for vec in gm.columns])
 
-    On projective space the Frobenius is flat, so the naive pullback of a
-    presentation presents the pullback sheaf.
+
+def frobenius_presentation(pres: GradedMap, e: int) -> GradedMap:
+    """The presentation of the e-th Frobenius pullback: every exponent and
+    twist times q = p^e (F_p coefficients are fixed by Frobenius).
+
+    The exponent cap is ``frobenius_poly``'s and, as there, applies to the
+    nonzero entries only: a presentation without any is never refused.
     """
     if e <= 0:
         raise ValueError(f"Frobenius exponent must be positive, got {e}")
-    pres = module.presentation
     q = pres.prime ** e
-    rows = tuple(tuple(frobenius_poly(f, e) if not f.is_zero() else f
-                       for f in row)
-                 for row in pres.entries)
-    scaled = GradedMap(pres.prime, pres.num_vars,
-                       tuple(t * q for t in pres.target_twists),
-                       tuple(s * q for s in pres.source_twists),
-                       rows)
-    return GradedModule(scaled, module.locally_free, spot_check=False)
+    top = max((max(exps) for vec in pres.columns for exps, _ in vec),
+              default=None)
+    if top is not None and max(top, 1) * q > MAX_EXPONENT:
+        for row in pres.entries:  # raises, naming the first bad entry
+            for f in row:
+                if not f.is_zero():
+                    frobenius_poly(f, e)
+    return _frobenius_map(pres, q)
+
+
+def frobenius_module(module: GradedModule, e: int) -> GradedModule:
+    """Frobenius pullback F^{e*}M, presented by ``frobenius_presentation``,
+    with its resolution and dual cokernel series derived from M's.
+
+    On projective space the Frobenius is flat (Kunz), so the pulled-back
+    presentation presents the pullback sheaf.  The substitution
+    x_i -> x_i^q keeps the term order and divisibility, so it commutes with
+    every Groebner computation (Hong): the pullback's minimal resolution is
+    M's under the substitution, twists times q, and R/phi(I) has Hilbert
+    numerator N(t^q) where R/I has N(t).  The dual twists n_v - q t are
+    q (n_v - t) - (q - 1) n_v, so each cokernel series of the dual
+    resolution (k = -1 .. length - 1, as ``cohomology._coker_series``)
+    has a term (q j - (q - 1) n_v, c) for each term (j, c) of M's.  Only
+    M runs the engine; the pullback's Ext series, Hilbert data and
+    regularity are read off these caches.
+    """
+    # imported here because resolution and cohomology import this module
+    from .cohomology import _coker_series
+    from .resolution import FreeResolution, HilbertSeries, minimal_resolution
+
+    pulled = GradedModule(frobenius_presentation(module.presentation, e),
+                          module.locally_free, spot_check=False)
+    q, nv = module.prime ** e, module.num_vars
+    res = minimal_resolution(module)
+    pulled._cache["resolution"] = FreeResolution(
+        tuple(t * q for t in res.f0_twists),
+        tuple(_frobenius_map(m, q) for m in res.maps))
+    for k in range(-1, res.length):
+        pulled._cache[("coker_series", k)] = HilbertSeries(nv, tuple(
+            (q * j - (q - 1) * nv, c)
+            for j, c in _coker_series(module, k).terms))
+    return pulled
 
 
 def direct_sum(modules, prime=None, num_vars=None) -> GradedModule:

@@ -11,7 +11,8 @@ from frobamp.amplitude import (amplitude_bound_from_regularity,
                                check_rank_and_dimension_bounds,
                                check_tensor_subadditivity, f_ample_test,
                                f_amplitude)
-from frobamp.cohomology import regularity, sheaf_cohomology
+from frobamp.cohomology import (cohomology_table, regularity,
+                                sheaf_cohomology)
 from frobamp.modules import (ModuleHom, direct_sum, frobenius_module,
                              restrict_hyperplane, tensor, twist, zero_module)
 from frobamp.polynomials import MultiPoly
@@ -33,6 +34,22 @@ def test_amplitude_is_frobenius_invariant_on_random_modules(module):
     assume(not sheaf_is_zero(module))
     assert f_amplitude(frobenius_module(module, 1)).phi == \
         f_amplitude(module).phi
+
+
+def test_frobenius_check_recomputes_the_pullback(monkeypatch):
+    # the check must not read phi off caches derived from M's: each
+    # pullback's table starts from a module with no resolution
+    tables = []
+
+    def table(module, lo, hi):
+        tables.append((module.presentation, "resolution" in module._cache))
+        return cohomology_table(module, lo, hi)
+
+    monkeypatch.setattr("frobamp.amplitude.cohomology_table", table)
+    t = catalog.tangent_bundle(3, 2)
+    f_amplitude(t, frobenius_check=(1, 2))
+    assert tables[1:] == [(frobenius_module(t, e).presentation, False)
+                          for e in (1, 2)]
 
 
 def test_tangent_amplitude_with_frobenius_sampling():

@@ -12,6 +12,18 @@ MODFILES = REPO / "modfiles"
 GOLDEN = REPO / "tests" / "golden"
 
 
+# a missing field, bad YAML, an inhomogeneous entry, exponent overflow and a
+# boolean twist
+_POINT = "prime: 5\nnum_vars: 3\ntarget_twists: [0]\nsource_twists: [1]\n"
+BAD_MODULE_TEXTS = (
+    "prime: 5\n",
+    "prime: [unclosed",
+    _POINT + 'matrix:\n  - ["x0 + x1^2"]\n',
+    _POINT + 'matrix:\n  - ["x0^99999999999999999999"]\n',
+    _POINT.replace("[1]", "[true]") + 'matrix:\n  - ["x0"]\n',
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -132,7 +144,7 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path):
                        str(MODFILES / "structure_p2.mod"))
     assert code == 2 and "empty" in err
     bad = tmp_path / "bad.mod"
-    bad.write_text("prime: 5\n")
+    bad.write_text(BAD_MODULE_TEXTS[0])
     code, _, err = run(capsys, "famp", str(bad))
     assert code == 2 and "missing required" in err
     code, _, err = run(capsys, "famp", str(tmp_path / "missing.mod"))
@@ -140,15 +152,39 @@ def test_exit_code_2_on_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "frobsplit", "--n", "1", "--d", "2",
                        "--i", "5")
     assert code == 2 and "outside" in err
-    # bad YAML, an inhomogeneous entry, exponent overflow, a boolean twist
-    point = "prime: 5\nnum_vars: 3\ntarget_twists: [0]\nsource_twists: [1]\n"
-    for text in ("prime: [unclosed",
-                 point + 'matrix:\n  - ["x0 + x1^2"]\n',
-                 point + 'matrix:\n  - ["x0^99999999999999999999"]\n',
-                 point.replace("[1]", "[true]") + 'matrix:\n  - ["x0"]\n'):
+    for text in BAD_MODULE_TEXTS[1:]:
         bad.write_text(text)
         code, _, err = run(capsys, "famp", str(bad))
         assert code == 2 and "error:" in err, text
+
+
+def test_both_yaml_loaders_give_the_same_errors(capsys, tmp_path,
+                                                monkeypatch):
+    # libyaml parses; a document it refuses gets the pure-Python message
+    import yaml
+    bad = tmp_path / "bad.mod"
+    errors = []
+    for text in BAD_MODULE_TEXTS:
+        bad.write_text(text)
+        errors.append(run(capsys, "famp", str(bad)))
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    for text, fast in zip(BAD_MODULE_TEXTS, errors):
+        bad.write_text(text)
+        assert run(capsys, "famp", str(bad)) == fast, text
+    assert "not a valid document" in errors[1][2]
+
+
+def test_exponent_cap_applies_to_nonzero_entries_only(capsys):
+    # O(1) has no relations: 5^26 is past the cap, but only twists scale
+    code, out, _ = run(capsys, "minreg", "--max-e", "26",
+                       str(MODFILES / "twist1_p2.mod"))
+    assert code == 0
+    assert "minreg upper bound = -1490116119384765625" in out
+    # the tangent bundle's linear entries take 5^17 and stop at 5^18
+    code, _, err = run(capsys, "minreg", "--max-e", "26",
+                       str(MODFILES / "tangent_p2.mod"))
+    assert code == 2
+    assert err == "error: p^e = 3814697265625 exceeds the exponent cap\n"
 
 
 def test_exit_code_1_on_failed_checks(capsys, monkeypatch):

@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from strategies import dual_rank_modules
 
 from frobamp import catalog
-from frobamp.cohomology import (_dual_maps, _mumford_scan, bott_oracle,
+from frobamp.cohomology import (_coker_series, _dual_maps, bott_oracle,
                                 cohomology_table,
                                 euler_characteristic_matches_hilbert,
                                 ext_dual_dimension, generated_in_degrees,
@@ -16,9 +16,29 @@ from frobamp.groebner import buchberger, hilbert_numerator
 from frobamp.linalg import rank_mod
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              free_module, free_piece_dimension,
-                             frobenius_module, tensor, twist, zero_module)
+                             frobenius_module, frobenius_presentation, tensor,
+                             twist, zero_module)
 from frobamp.polynomials import MultiPoly, monomials_of_degree
-from frobamp.resolution import HilbertSeries
+from frobamp.resolution import (HilbertSeries, minimal_resolution,
+                                sheaf_is_zero)
+
+
+# -- the Mumford scan: the regularity oracle ----------------------------------
+
+def satisfies_vanishing(module, m):
+    n = module.num_vars - 1
+    return all(sheaf_cohomology(module, i, m - i) == 0
+               for i in range(1, n + 1))
+
+
+def mumford_scan(module, bound):
+    """Least m with every twist from m up to ``bound`` passing the
+    vanishing test, found one twist at a time down from ``bound``."""
+    assert satisfies_vanishing(module, bound)
+    m = bound
+    while satisfies_vanishing(module, m - 1):
+        m -= 1
+    return m
 
 
 def test_line_bundle_values_on_p2():
@@ -192,7 +212,7 @@ def test_reg_of_space_is_one():
         for p in (2, 3, 5):
             assert reg_of_space(nv, p) == 1
             # the constant agrees with an independent Mumford scan of O
-            assert max(1, _mumford_scan(free_module(p, nv, (0,)), 0)) == 1
+            assert max(1, mumford_scan(free_module(p, nv, (0,)), 0)) == 1
 
 
 def test_resolution_regularity_estimate():
@@ -422,3 +442,48 @@ def test_cohomology_tables_add_over_direct_sums(data):
         assert euler_characteristic_matches_hilbert(m, table)
     assert tables[2].h == tuple(tuple(x + y for x, y in zip(ra, rb))
                                 for ra, rb in zip(tables[0].h, tables[1].h))
+
+
+# -- Frobenius pullbacks: derived caches and the closed-form regularity ------
+
+def _direct_pullback(module, e):
+    """The e-th pullback as a fresh module, so that it runs the engine."""
+    pres = frobenius_presentation(module.presentation, e) if e else \
+        module.presentation
+    return GradedModule(pres, module.locally_free, spot_check=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(dual_rank_modules(), st.sampled_from((1, 2)))
+def test_pullback_caches_match_a_direct_recompute(module, e):
+    pulled = frobenius_module(module, e)
+    direct = _direct_pullback(module, e)
+    res = pulled._cache["resolution"]
+    assert res == minimal_resolution(direct)
+    for k in range(-1, res.length):
+        assert pulled._cache[("coker_series", k)] == _coker_series(direct, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(dual_rank_modules(), st.sampled_from((0, 1, 2)))
+def test_regularity_matches_the_mumford_scan(module, e):
+    if e:
+        module = frobenius_module(module, e)
+    assume(not sheaf_is_zero(module))
+    rep = regularity(module)
+    bound = rep.module_regularity_bound
+    if rep.sheaf_regularity is None:
+        # zero-dimensional support: a scan would never stop
+        assert all(satisfies_vanishing(module, m)
+                   for m in range(bound - 10, bound + 1))
+    else:
+        assert rep.sheaf_regularity == mumford_scan(module, bound)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(dual_rank_modules())
+def test_minreg_matches_direct_regularities(module):
+    assume(not sheaf_is_zero(module))
+    assert minreg_areg(module, 2).regularities == tuple(
+        regularity(_direct_pullback(module, e)).sheaf_regularity
+        for e in range(3))

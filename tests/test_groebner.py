@@ -280,6 +280,16 @@ def test_normal_form_is_irreducible_and_constant_on_cosets(case):
     assert normal_form(v_minus_nf, basis, p) == {}
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(rank_two_submodules())
+def test_min_component_keeps_the_trailing_part_of_the_reduced_basis(case):
+    # what syzygies asks for: the other elements cannot reduce these
+    p, twists, gens, _, _ = case
+    full = buchberger(gens, twists, p)
+    assert buchberger(gens, twists, p, min_component=1) == \
+        [g for g in full if leading_term(g)[1] == 1]
+
+
 def _monic(vec, p):
     return vec_scale(vec, pow(vec[leading_term(vec)], p - 2, p), p)
 

@@ -1,4 +1,7 @@
+from pathlib import Path
+
 import pytest
+import yaml
 
 from frobamp import catalog
 from frobamp.modfile import (ModuleFileError, dumps_module, file_digest,
@@ -108,3 +111,12 @@ def test_booleans_are_not_integers():
     x0 = MultiPoly.variable(3, 5, 0)
     with pytest.raises(ValueError, match="source_twists"):
         GradedMap(5, 3, (0,), (True,), ((x0,),))
+
+
+def test_both_yaml_loaders_read_every_modfile_alike():
+    files = sorted((Path(__file__).parent.parent / "modfiles").glob("*.mod"))
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), path.name

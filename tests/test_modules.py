@@ -95,6 +95,32 @@ def test_frobenius_module_composes():
     assert a.presentation == b.presentation
 
 
+def test_frobenius_exponent_cap_names_the_first_bad_entry():
+    # the cap (2^40) holds for nonzero entries only, as in frobenius_poly
+    p, nv = 5, 3
+    zero, one = MultiPoly.zero(nv, p), MultiPoly.constant(nv, p, 1)
+    square = MultiPoly.variable(nv, p, 1, 2)
+
+    def module(*row):
+        return GradedModule(GradedMap(p, nv, (0,), tuple(
+            0 if f is one else 2 for f in row), (row,)))
+
+    assert frobenius_module(module(zero), 30).presentation.source_twists \
+        == (2 * 5 ** 30,)
+    frobenius_module(module(square), 16)
+    with pytest.raises(OverflowError, match=r"^exponent overflow scaling "
+                       r"\(0, 2, 0\) by p\^e = 762939453125$"):
+        frobenius_module(module(zero, square), 17)
+    # a unit entry has no exponent to overflow, but q itself is refused
+    frobenius_module(module(one), 17)
+    with pytest.raises(OverflowError,
+                       match=r"^p\^e = 3814697265625 exceeds the exponent "
+                             r"cap$"):
+        frobenius_module(module(one), 18)
+    with pytest.raises(ValueError, match="must be positive"):
+        frobenius_module(module(one), 0)
+
+
 def test_frobenius_tangent_two_ways():
     # direct functor versus hand-built squared Euler presentation, p = 2
     p, nv = 2, 3
