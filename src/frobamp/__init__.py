@@ -20,8 +20,7 @@ from .modfile import ModuleFileError, dumps_module, load_module, loads_module
 from .modules import (GradedMap, GradedModule, ModuleHom, direct_sum,
                       free_module, frobenius_module, restrict_hyperplane,
                       tensor, twist, zero_module)
-from .polynomials import (MultiPoly, PrimeFieldScalar, format_poly,
-                          frobenius_poly, parse_poly)
+from .polynomials import MultiPoly, format_poly, frobenius_poly, parse_poly
 from .pushforward import (BinomialPoly, SplittingType, boundary_cases,
                           splitting_oracle, splitting_type)
 from .resolution import FreeResolution, free_resolution, syzygy_map

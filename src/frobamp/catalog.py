@@ -15,7 +15,6 @@ from math import comb
 
 from .modules import (GradedMap, GradedModule, ModuleHom, direct_sum,
                       free_module, tensor, twist)
-from .polynomials import MultiPoly
 
 
 def structure_sheaf(p: int, n: int) -> GradedModule:
@@ -31,25 +30,42 @@ def line_bundle_sum(p: int, n: int, degrees) -> GradedModule:
     return free_module(p, n + 1, tuple(-a for a in degrees))
 
 
+def _x(nv: int, i: int, r: int) -> tuple:
+    """The column term x_i in row r, as a key of a sparse column vector."""
+    return tuple(int(j == i) for j in range(nv)), r
+
+
+def _generator_map(source: GradedModule, target: GradedModule,
+                   images) -> ModuleHom:
+    """The constant hom sending source generator c to target generator
+    ``images[c]``, or to zero where that is None."""
+    nv = source.num_vars
+    one = (0,) * nv
+    return ModuleHom(source, target, GradedMap.from_columns(
+        source.prime, nv, target.presentation.target_twists,
+        source.presentation.target_twists,
+        [{} if r is None else {(one, r): 1} for r in images]))
+
+
 def koszul_map(p: int, n: int, k: int) -> GradedMap:
     """k-th Koszul differential on the variables of P^n (wedge basis)."""
     nv = n + 1
     if not 1 <= k <= nv:
         raise ValueError(f"Koszul index {k} out of range [1, {nv}]")
-    xs = [MultiPoly.variable(nv, p, i) for i in range(nv)]
-    z = MultiPoly.zero(nv, p)
     rows_idx = list(combinations(range(nv), k - 1))
     cols_idx = list(combinations(range(nv), k))
     row_pos = {s: r for r, s in enumerate(rows_idx)}
-    entries = [[z] * len(cols_idx) for _ in rows_idx]
-    for c, cset in enumerate(cols_idx):
-        for t, i in enumerate(cset):
-            rest = tuple(x for x in cset if x != i)
-            f = xs[i] if t % 2 == 0 else -xs[i]
-            entries[row_pos[rest]][c] = f
-    return GradedMap(p, nv, tuple([k - 1] * len(rows_idx)),
-                     tuple([k] * len(cols_idx)),
-                     tuple(tuple(r) for r in entries))
+    cols = []
+    for cset in cols_idx:
+        # (-1)^t x_i in the row of cset without its t-th member i, filled
+        # from the last member down so that the rows ascend
+        col = {}
+        for t in reversed(range(k)):
+            col[_x(nv, cset[t], row_pos[cset[:t] + cset[t + 1:]])] = (
+                p - 1 if t % 2 else 1)
+        cols.append(col)
+    return GradedMap.from_columns(p, nv, (k - 1,) * len(rows_idx),
+                                  (k,) * len(cols_idx), cols)
 
 
 def form_bundle(p: int, n: int, j: int) -> GradedModule:
@@ -62,9 +78,8 @@ def form_bundle(p: int, n: int, j: int) -> GradedModule:
     nv = n + 1
     if not 0 <= j <= n:
         raise ValueError(f"form degree {j} out of range [0, {n}]")
-    gens = tuple([j + 1] * comb(nv, j + 1))
     if j + 2 > nv:
-        pres = GradedMap(p, nv, gens, (), tuple(() for _ in gens))
+        pres = GradedMap.zero_map(p, nv, (j + 1,) * comb(nv, j + 1), ())
     else:
         pres = koszul_map(p, n, j + 2)
     return GradedModule(pres, locally_free=(j != 0), spot_check=False)
@@ -78,84 +93,54 @@ def irrelevant_ideal(p: int, n: int) -> GradedModule:
 def tangent_bundle(p: int, n: int) -> GradedModule:
     """Euler presentation: quotient of O(1)^{n+1} by the weighted-sum line."""
     nv = n + 1
-    xs = tuple((MultiPoly.variable(nv, p, i),) for i in range(nv))
-    pres = GradedMap(p, nv, tuple([-1] * nv), (0,), xs)
+    pres = GradedMap.from_columns(p, nv, (-1,) * nv, (0,),
+                                  [{_x(nv, i, i): 1 for i in range(nv)}])
     return GradedModule(pres, locally_free=True, spot_check=False)
 
 
 def point_ideal(p: int) -> GradedModule:
     """Ideal of a point on P^2, generated by x0 and x1 with one relation."""
-    nv = 3
-    x0 = MultiPoly.variable(nv, p, 0)
-    x1 = MultiPoly.variable(nv, p, 1)
-    pres = GradedMap(p, nv, (1, 1), (2,), ((x1,), (-x0,)))
+    pres = GradedMap.from_columns(p, 3, (1, 1), (2,),
+                                  [{_x(3, 1, 0): 1, _x(3, 0, 1): p - 1}])
     return GradedModule(pres)
 
 
 # -- canonical short exact sequences ------------------------------------------
+#
+# In each of the first three the last module is presented by the first map,
+# and the middle one is the free module on its generators.
 
 def euler_sequence(p: int, n: int):
     """0 -> O -> O(1)^{n+1} -> T -> 0 with explicit maps."""
-    nv = n + 1
-    e1 = structure_sheaf(p, n)
-    e2 = line_bundle_sum(p, n, [1] * nv)
+    e2 = line_bundle_sum(p, n, [1] * (n + 1))
     e3 = tangent_bundle(p, n)
-    col = tuple((MultiPoly.variable(nv, p, i),) for i in range(nv))
-    h1 = ModuleHom.from_entries(e1, e2, col)
-    one = MultiPoly.constant(nv, p, 1)
-    z = MultiPoly.zero(nv, p)
-    ident = tuple(tuple(one if r == c else z for c in range(nv))
-                  for r in range(nv))
-    h2 = ModuleHom.from_entries(e2, e3, ident)
-    return h1, h2
+    return (ModuleHom(structure_sheaf(p, n), e2, e3.presentation),
+            _generator_map(e2, e3, range(n + 1)))
 
 
 def point_koszul_sequence(p: int):
     """0 -> O(-2) -> O(-1)^2 -> (point ideal) -> 0 on P^2."""
-    nv = 3
-    e1 = line_bundle(p, 2, -2)
     e2 = line_bundle_sum(p, 2, [-1, -1])
     e3 = point_ideal(p)
-    x0 = MultiPoly.variable(nv, p, 0)
-    x1 = MultiPoly.variable(nv, p, 1)
-    h1 = ModuleHom.from_entries(e1, e2, ((x1,), (-x0,)))
-    one = MultiPoly.constant(nv, p, 1)
-    z = MultiPoly.zero(nv, p)
-    h2 = ModuleHom.from_entries(e2, e3, ((one, z), (z, one)))
-    return h1, h2
+    return (ModuleHom(line_bundle(p, 2, -2), e2, e3.presentation),
+            _generator_map(e2, e3, range(2)))
 
 
 def form_sequence(p: int, n: int):
     """0 -> (1-forms) -> O(-1)^{n+1} -> (irrelevant ideal) -> 0."""
-    nv = n + 1
-    e1 = form_bundle(p, n, 1)
-    e2 = line_bundle_sum(p, n, [-1] * nv)
-    e3 = irrelevant_ideal(p, n)
-    d2 = koszul_map(p, n, 2)
-    h1 = ModuleHom.from_entries(e1, e2, d2.entries)
-    one = MultiPoly.constant(nv, p, 1)
-    z = MultiPoly.zero(nv, p)
-    ident = tuple(tuple(one if r == c else z for c in range(nv))
-                  for r in range(nv))
-    h2 = ModuleHom.from_entries(e2, e3, ident)
-    return h1, h2
+    e2 = line_bundle_sum(p, n, [-1] * (n + 1))
+    e3 = irrelevant_ideal(p, n)  # presented by koszul_map(p, n, 2)
+    return (ModuleHom(form_bundle(p, n, 1), e2, e3.presentation),
+            _generator_map(e2, e3, range(n + 1)))
 
 
 def split_sequence(e1: GradedModule, e3: GradedModule):
     """0 -> E1 -> E1 ⊕ E3 -> E3 -> 0 with inclusion and projection."""
     e2 = direct_sum([e1, e3])
-    p, nv = e1.prime, e1.num_vars
-    one = MultiPoly.constant(nv, p, 1)
-    z = MultiPoly.zero(nv, p)
     r1 = e1.presentation.target_rank
     r3 = e3.presentation.target_rank
-    incl = tuple(tuple(one if r == c else z for c in range(r1))
-                 for r in range(r1 + r3))
-    proj = tuple(tuple(one if c == r1 + r else z for c in range(r1 + r3))
-                 for r in range(r3))
-    h1 = ModuleHom.from_entries(e1, e2, incl)
-    h2 = ModuleHom.from_entries(e2, e3, proj)
-    return h1, h2
+    return (_generator_map(e1, e2, range(r1)),
+            _generator_map(e2, e3, [None] * r1 + list(range(r3))))
 
 
 # -- named collections --------------------------------------------------------

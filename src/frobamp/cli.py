@@ -8,7 +8,8 @@ record carrying the tool version, the primes in effect, and a digest of the
 input; identical inputs produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a requested assertion or check failed,
-2 on input errors (malformed module files, nonprime moduli, bad windows).
+2 on input errors (malformed module files, nonprime moduli, bad windows)
+and when a computation runs out of memory.
 """
 
 from __future__ import annotations
@@ -329,6 +330,10 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.subcommand}; the input is "
+              f"too large for the memory available", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def cokernel_series(gm: GradedMap) -> HilbertSeries:
         leads.setdefault(r, []).append(exps)
     return HilbertSeries.from_terms(gm.num_vars, (
         (t + j, c) for r, t in enumerate(gm.target_twists)
-        for j, c in enumerate(hilbert_numerator(leads.get(r, ())))))
+        for j, c in hilbert_numerator(leads.get(r, ()))))
 
 
 def _coker_series(module: GradedModule, k: int) -> HilbertSeries:

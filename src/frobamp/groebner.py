@@ -54,13 +54,15 @@ def hilbert_numerator(monomials):
     """Numerator N(t) of the Hilbert series N(t) / (1 - t)^v of R / I.
 
     I is the ideal of F_p[x_1..x_v] generated by the exponent tuples
-    ``monomials``; N is returned as its coefficient tuple, (1,) for the
-    empty set and () for the unit ideal.  By Macaulay's theorem a lead-term
-    ideal has the Hilbert function of the ideal it came from, so this counts
-    any Groebner basis.  With minimal generators m_1..m_k in ascending
-    degree, HN(I) = HN(I') - t^|m_k| HN(I' : m_k) for I' = (m_1..m_k-1)
-    (Bigatti 1997); unrolled, HN(I) = 1 - sum_i t^|m_i| HN((m_1..m_i-1) :
-    m_i), memoized on the generator sets of the colon ideals.
+    ``monomials``; N is returned as its sorted nonzero (exponent,
+    coefficient) pairs, ((0, 1),) for the empty set and () for the unit
+    ideal, so its size does not grow with the degrees of the generators.
+    By Macaulay's theorem a lead-term ideal has the Hilbert function of the
+    ideal it came from, so this counts any Groebner basis.  With minimal
+    generators m_1..m_k in ascending degree, HN(I) = HN(I') - t^|m_k|
+    HN(I' : m_k) for I' = (m_1..m_k-1) (Bigatti 1997); unrolled, HN(I) =
+    1 - sum_i t^|m_i| HN((m_1..m_i-1) : m_i), memoized on the generator
+    sets of the colon ideals.
     """
     memo = {}
 
@@ -75,17 +77,16 @@ def hilbert_numerator(monomials):
     def numerator(gens):
         out = memo.get(gens)
         if out is None:
-            coeffs = [1]
+            coeffs = {0: 1}
             for i, m in enumerate(gens):
                 colon = minimal(tuple(max(x - y, 0) for x, y in zip(a, m))
                                 for a in gens[:i])
                 shift = sum(m)
-                for j, c in enumerate(numerator(colon), shift):
-                    coeffs.extend([0] * (j + 1 - len(coeffs)))
-                    coeffs[j] -= c
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            out = memo[gens] = tuple(coeffs)
+                for j, c in numerator(colon):
+                    j += shift
+                    coeffs[j] = coeffs.get(j, 0) - c
+            out = memo[gens] = tuple(sorted([t for t in coeffs.items()
+                                             if t[1]]))
         return out
 
     return numerator(minimal(monomials))
@@ -348,34 +349,21 @@ def buchberger_criterion_holds(basis, twists, p) -> bool:
     return True
 
 
-def submodule_contains(vec, groebner, p) -> bool:
-    return not normal_form(vec, groebner, p)
-
-
-def syzygies(generators, twists, p, num_vars, degrees=None):
+def syzygies(generators, twists, p, num_vars, degrees):
     """Generators of the syzygy module of ``generators``.
 
     Returns (syzygy vectors, their degrees).  Each syzygy s satisfies
     sum_c s[c] * generators[c] = 0; the syzygy vectors live in a free module
     with one component per generator, twisted by that generator's degree
-    (zero generators carry no degree, so ``degrees`` supplies it).  The
+    ``degrees[c]`` (a zero generator carries no degree of its own).  The
     returned set is a Groebner basis of the syzygy module.
     """
     m = len(twists)
-    if degrees is None:
-        degrees = []
-        for g in generators:
-            deg = vector_degree(g, twists)
-            if deg is None:
-                raise ValueError(
-                    "zero generator: pass explicit column degrees")
-            degrees.append(deg)
-    else:
-        for g, d in zip(generators, degrees):
-            deg = vector_degree(g, twists)
-            if deg is not None and deg != d:
-                raise ValueError(
-                    f"declared degree {d} does not match computed {deg}")
+    for g, d in zip(generators, degrees):
+        deg = vector_degree(g, twists)
+        if deg is not None and deg != d:
+            raise ValueError(
+                f"declared degree {d} does not match computed {deg}")
     zero_exp = (0,) * num_vars
     aug_twists = tuple(twists) + tuple(degrees)
     augmented = []

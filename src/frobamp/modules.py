@@ -8,9 +8,10 @@ s_c - t_r.
 
 A map stores only its columns, in the Groebner engine's sparse vector form
 {(exps, r): residue}, so resolutions, composition, the functors and the
-relation Groebner basis all work on one representation.  The matrix of
-``MultiPoly`` entries is a derived view, built on demand for printing and
-the catalog's sequences.
+relation Groebner basis all work on one representation.  ``MultiPoly``
+appears only at the edges: the constructor takes a caller's rows of
+``MultiPoly`` entries (the module file, tests), and ``entries`` derives the
+matrix back for printing and for the wording of an exponent-cap refusal.
 
 Modules are never normalized behind the caller's back; two presentations of
 isomorphic modules compare unequal, and only invariants (Hilbert data,
@@ -437,14 +438,6 @@ class ModuleHom:
     target: GradedModule = field(compare=False)
     matrix: GradedMap = field(compare=True)
 
-    @classmethod
-    def from_entries(cls, source, target, entries):
-        gm = GradedMap(source.prime, source.num_vars,
-                       target.presentation.target_twists,
-                       source.presentation.target_twists,
-                       entries)
-        return cls(source, target, gm)
-
     def is_well_defined(self) -> bool:
         """Images of the source relations must lie in the target relations."""
         return self.target.relations_contain(
@@ -477,23 +470,30 @@ def projective_points(num_vars, p):
     return list(rec([], False))
 
 
-def spot_check_constant_rank(pres: GradedMap, max_points=1000):
+# The spot check is skipped on spaces with more rational points than this.
+MAX_SPOT_CHECK_POINTS = 1000
+
+
+def spot_check_constant_rank(pres: GradedMap):
     """Evaluate the presentation at rational points; constant rank expected.
 
     A locally free cokernel has constant corank at every point of projective
     space; a rank drop at a rational point refutes the flag.  Returns
     (status, detail): status is False on a refutation, True when the rank
     is constant, and None when the check was skipped because the point
-    count exceeds ``max_points``.
+    count exceeds ``MAX_SPOT_CHECK_POINTS``.
     """
     if pres.source_rank == 0 or pres.target_rank == 0:
         return True, "free module"
-    pts = projective_points(pres.num_vars, pres.prime)
-    if len(pts) > max_points:
-        return None, f"skipped ({len(pts)} points exceed {max_points})"
-    p, zero = pres.prime, (0,) * pres.num_vars
+    p, nv = pres.prime, pres.num_vars
+    # counted before any point is listed: a large prime has too many
+    count = (p ** nv - 1) // (p - 1)
+    if count > MAX_SPOT_CHECK_POINTS:
+        return None, (f"skipped ({count} points exceed "
+                      f"{MAX_SPOT_CHECK_POINTS})")
+    zero = (0,) * nv
     ranks = set()
-    for pt in pts:
+    for pt in projective_points(nv, p):
         # the columns at the point, as constant vectors; their reduced
         # Groebner basis is an echelon form, one element per pivot
         cols = []
@@ -507,4 +507,4 @@ def spot_check_constant_rank(pres: GradedMap, max_points=1000):
                                           p)))
     if len(ranks) > 1:
         return False, f"presentation rank varies over points: {sorted(ranks)}"
-    return True, f"constant rank {ranks.pop()} at {len(pts)} points"
+    return True, f"constant rank {ranks.pop()} at {count} points"

@@ -1,17 +1,17 @@
-"""Exact arithmetic over prime fields and sparse homogeneous multivariate polynomials.
+"""Prime fields, monomials, and sparse polynomials at the edges of frobamp.
 
-Everything downstream (Groebner bases, resolutions, cohomology) is built on
-the two types defined here: ``PrimeFieldScalar`` for elements of F_p and
-``MultiPoly`` for elements of F_p[x_0, ..., x_n].  Polynomials are stored
-sparsely as a map from exponent tuples to nonzero residues, with the graded
-reverse lexicographic order (x0 > x1 > ... > xn) fixed as the canonical term
-order for printing and for the Groebner engine.
+Every computation runs on the sparse column vectors of ``groebner`` and
+``modules``; ``MultiPoly``, an element of F_p[x_0, ..., x_n] stored as a map
+from exponent tuples to nonzero residues, is the form in which polynomials
+come in (the text syntax below, a caller's matrix rows) and go out
+(``GradedMap.entries``, printing, ``groebner.groebner_basis``).  Graded
+reverse lexicographic order (x0 > x1 > ... > xn) is the canonical term order
+for printing and for the Groebner engine.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Primes must fit comfortably in a machine word so that products of two
@@ -55,53 +55,6 @@ def check_prime(p: int) -> int:
     if p >= MAX_PRIME:
         raise ValueError(f"modulus {p} exceeds the word-size cap {MAX_PRIME}")
     return p
-
-
-@dataclass(frozen=True)
-class PrimeFieldScalar:
-    """An element of F_p, stored as the canonical residue in [0, p)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_prime(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "PrimeFieldScalar":
-        if isinstance(other, PrimeFieldScalar):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other
-        return PrimeFieldScalar(other, self.modulus)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldScalar(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldScalar(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PrimeFieldScalar(self.value * other.value, self.modulus)
-
-    def __neg__(self):
-        return PrimeFieldScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "PrimeFieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in a prime field")
-        return PrimeFieldScalar(pow(self.value, self.modulus - 2, self.modulus),
-                                self.modulus)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __bool__(self):
-        return self.value != 0
 
 
 def grevlex_key(exps: tuple) -> tuple:
@@ -165,7 +118,7 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {exps}")
             if any(e > MAX_EXPONENT for e in exps):
                 raise OverflowError(f"exponent overflow in {exps}")
-            c = c.value if isinstance(c, PrimeFieldScalar) else c % modulus
+            c %= modulus
             if c:
                 reduced[exps] = c
         self.num_vars = num_vars
@@ -204,16 +157,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps) -> PrimeFieldScalar:
-        return PrimeFieldScalar(self.terms.get(tuple(exps), 0), self.modulus)
-
-    def leading_term(self):
-        """(exponent tuple, coefficient) of the grevlex-largest term."""
-        if not self.terms:
-            return None
-        exps = max(self.terms, key=grevlex_key)
-        return exps, self.terms[exps]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other):
@@ -248,7 +191,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(other)
+            return MultiPoly(self.num_vars, self.modulus,
+                             {e: v * other for e, v in self.terms.items()})
         self._check_compatible(other)
         p = self.modulus
         terms = {}
@@ -263,14 +207,6 @@ class MultiPoly:
         return MultiPoly(self.num_vars, p, terms)
 
     __rmul__ = __mul__
-
-    def scale(self, c: int):
-        c = c % self.modulus
-        if c == 0:
-            return MultiPoly.zero(self.num_vars, self.modulus)
-        p = self.modulus
-        return MultiPoly(self.num_vars, p,
-                         {e: (v * c) % p for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:
@@ -293,19 +229,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.num_vars, self.modulus,
                      tuple(sorted(self.terms.items()))))
-
-    def evaluate(self, point) -> PrimeFieldScalar:
-        point = [v % self.modulus for v in point]
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * pow(x, e, self.modulus) % self.modulus
-            total = (total + v) % self.modulus
-        return PrimeFieldScalar(total, self.modulus)
 
     def __repr__(self):
         return f"MultiPoly({self.num_vars}, {self.modulus}, {format_poly(self)!r})"

@@ -173,23 +173,22 @@ def syzygy_map(gm: GradedMap) -> GradedMap:
                                   syz_degs, syz)
 
 
-def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
-    """Minimal free resolution of the module, of length at most max_length.
+def free_resolution(module: GradedModule) -> FreeResolution:
+    """Minimal free resolution of the module.
 
-    The default cap (num_vars + 1) always suffices; the minimal chain
-    terminates by homological index num_vars.
+    The minimal chain terminates by homological index num_vars (Hilbert's
+    syzygy theorem); a longer one is asserted against.
     """
     p = module.prime
     nv = module.num_vars
     zero = (0,) * nv
-    cap = max_length if max_length is not None else nv + 1
     pres = module.presentation
     # maps[k] has source twists[k + 1] and target twists[k]; a target list
     # is the previous map's source list, so cancellation edits both at once
     twists = [list(pres.target_twists), list(pres.source_twists)]
     maps = [[dict(vec) for vec in pres.columns]]
     _minimalize(maps[0], twists[1], twists[0], None, zero, p)
-    while twists[-1] and len(maps) < max(cap, 1):
+    while twists[-1] and len(maps) <= nv:
         syz, syz_degs = groebner.syzygies(maps[-1], tuple(twists[-2]), p, nv,
                                           degrees=tuple(twists[-1]))
         if not syz:
@@ -204,7 +203,7 @@ def free_resolution(module: GradedModule, max_length=None) -> FreeResolution:
     res = FreeResolution(tuple(twists[0]), tuple(
         GradedMap.from_columns(p, nv, twists[k], twists[k + 1], cols)
         for k, cols in enumerate(maps)))
-    if max_length is None and res.length > nv:
+    if res.length > nv:
         raise AssertionError(
             f"resolution length {res.length} exceeds the syzygy bound {nv}")
     return res

@@ -187,6 +187,31 @@ def test_exponent_cap_applies_to_nonzero_entries_only(capsys):
     assert err == "error: p^e = 3814697265625 exceeds the exponent cap\n"
 
 
+def test_high_frobenius_check_has_sparse_series(capsys):
+    # 5^10-th powers in the pullback's relations: the cokernel series keep
+    # their few terms, so the check prints plain famp's records
+    path = str(MODFILES / "tangent_p2.mod")
+    code, checked, _ = run(capsys, "famp", "--format", "structured",
+                           "--check-frobenius", "10", path)
+    assert code == 0
+    _, plain, _ = run(capsys, "famp", "--format", "structured", path)
+    assert checked == plain
+
+
+def test_out_of_memory_exits_2_naming_the_subcommand(capsys, monkeypatch):
+    import frobamp.cli as cli_module
+
+    def exhausted(args, rep):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "_cmd_resolve", exhausted)
+    code, out, err = run(capsys, "resolve", str(MODFILES / "tangent_p2.mod"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory in resolve")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_exit_code_1_on_failed_checks(capsys, monkeypatch):
     import frobamp.cli as cli_module
     monkeypatch.setattr(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import PRIMES, dual_rank_modules
 
-from frobamp import catalog
+from frobamp import catalog, modules
 from frobamp.cohomology import cokernel_series, sheaf_cohomology
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              frobenius_module, projective_points,
@@ -223,8 +223,8 @@ def test_spot_check_refutes_bad_flag():
         GradedModule(pres, locally_free=True)
 
 
-def test_spot_check_reports_a_skip_as_skipped():
-    # P^3 over F_11 has 1464 rational points, above the default 1000
+def test_spot_check_reports_a_skip_as_skipped(monkeypatch):
+    # P^3 over F_11 has 1464 rational points, above the cap of 1000
     p, nv = 11, 4
     assert len(projective_points(nv, p)) == 1464
     status, detail = spot_check_constant_rank(
@@ -238,6 +238,11 @@ def test_spot_check_reports_a_skip_as_skipped():
     status, _ = spot_check_constant_rank(
         catalog.tangent_bundle(3, 3).presentation)
     assert status is True
+    # the skip is decided from the point count, before any point is listed
+    monkeypatch.setattr(modules, "projective_points", None)
+    assert spot_check_constant_rank(
+        catalog.tangent_bundle(1009, 2).presentation) == (
+        None, "skipped (1019091 points exceed 1000)")
 
 
 def test_tensor_rank():
