@@ -9,13 +9,15 @@ input; identical inputs produce byte-identical output.
 
 Exit codes: 0 on success, 1 when a requested assertion or check failed,
 2 on input errors (malformed module files, nonprime moduli, bad windows)
-and when a computation runs out of memory.
+and when a computation runs out of memory, and 141 (128 + SIGPIPE) with
+nothing on stderr when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -323,7 +325,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rep = Reporter(structured=(args.format == "structured"))
     try:
-        return args.fn(args, rep)
+        code = args.fn(args, rep)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush is silent, and exit as a writer killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ModuleFileError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -401,17 +401,12 @@ def polys_from_vector(vec, rank, num_vars, p):
     return tuple(MultiPoly(num_vars, p, t) for t in terms)
 
 
-def groebner_basis(generators, target_twists, p, num_vars=None):
+def groebner_basis(generators, target_twists, p, num_vars):
     """Public entry point: generators as tuples of MultiPoly.
 
     Returns the reduced Groebner basis, again as tuples of MultiPoly.
     """
     rank = len(target_twists)
-    if num_vars is None:
-        num_vars = next((f.num_vars for col in generators for f in col
-                         if not f.is_zero()), None)
-        if num_vars is None:
-            return []
     vecs = vectors_from_polys(generators)
     basis = buchberger(vecs, tuple(target_twists), p)
     return [polys_from_vector(v, rank, num_vars, p) for v in basis]

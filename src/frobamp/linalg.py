@@ -2,8 +2,8 @@
 
 The mod-p routines use int64 arrays; residues are < 2**31 so products of two
 residues never overflow.  The rational solver eliminates fraction-free over
-the integers and is meant for the small overdetermined systems arising from
-splitting-type computations.
+the integers; the tests use it as the reference for the splitting types,
+which ``pushforward`` finds by integer forward substitution.
 """
 
 from __future__ import annotations

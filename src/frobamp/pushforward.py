@@ -7,9 +7,10 @@ by O(x) with those of O(dx + i) gives, with p_m(x) = C(x+m, m),
 
     sum_l f(l, i) p_n(x + l) = p_n(dx + i),
 
-an identity of integer polynomials in x.  The multiplicities are found by
-solving this linear system exactly over Q at x = 0..n+1 and validating
-integrality, nonnegativity, and the identity at extra sample points.  The
+an identity of integer polynomials in x.  Since p_n vanishes at -n..-1,
+the identity at x = k in 1..n is triangular in f(-k), so the multiplicities
+follow by integer forward substitution from two cohomological pins; the
+identity at further sample points and nonnegativity are then checked.  The
 Frobenius case d = p^e has an independent oracle: count monomials with
 exponents below q in each congruence class.
 """
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-
-from .linalg import solve_rational
 
 
 @dataclass(frozen=True)
@@ -86,17 +85,21 @@ def _hn_line(m: int, n: int) -> int:
     return comb(-m - 1, n) if m <= -n - 1 else 0
 
 
-def splitting_type(n: int, d: int, i: int,
-                   extra_points: int = 3) -> SplittingType:
-    """Solve the Euler-characteristic system for the multiplicities.
+def splitting_type(n: int, d: int, i: int) -> SplittingType:
+    """Solve the Euler-characteristic identity for the multiplicities.
 
     Requires -d-n-1 < i < d, the range in which the splitting is supported
-    on twists in [-n-1, 0].  The n+2 twisted Euler characteristics alone
-    leave a one-dimensional ambiguity (the shifted binomials satisfy one
-    linear relation), so the system is pinned by two further cohomological
-    functionals from the projection formula: the section count forces
-    f(0) = h^0(O(i)) and the top cohomology forces f(-n-1) = h^n(O(i)).
-    Non-integral or negative solutions raise: they would signal a violated
+    on twists in [-n-1, 0].  The identity alone leaves a one-dimensional
+    ambiguity (the shifted binomials satisfy one linear relation), so two
+    further cohomological functionals from the projection formula pin it:
+    the section count forces f(0) = h^0(O(i)) and the top cohomology forces
+    f(-n-1) = h^n(O(i)).  At x = k in 1..n the identity involves only the
+    twists l >= -k, and f(-k) with coefficient p_n(0) = 1, so
+
+        f(-k) = p_n(dk + i) - sum_{l > -k} f(l) p_n(k + l).
+
+    The identity at x = 0 and x = n+1..n+4 is then checked.  Negative
+    multiplicities or a failed check raise: they would signal a violated
     hypothesis or an implementation bug, never valid output.
     """
     if n < 1:
@@ -108,24 +111,16 @@ def splitting_type(n: int, d: int, i: int,
             f"twist i={i} outside (-d-n-1, d) = ({-d - n - 1}, {d}); "
             "the splitting is not supported on [-n-1, 0] there")
     p_n = BinomialPoly(n)
-    supports = list(range(-n - 1, 1))
-    rows = [[p_n(x + l) for l in supports] for x in range(n + 2)]
-    rhs = [p_n(d * x + i) for x in range(n + 2)]
-    rows.append([1 if l == 0 else 0 for l in supports])
-    rhs.append(_h0_line(i, n))
-    rows.append([1 if l == -n - 1 else 0 for l in supports])
-    rhs.append(_hn_line(i, n))
-    solution = solve_rational(rows, rhs)
-    mult = {}
-    for l, f in zip(supports, solution):
-        if f.denominator != 1:
-            raise AssertionError(f"non-integral multiplicity f({l}) = {f}")
-        f = int(f)
+    mult = {0: _h0_line(i, n)}
+    for k in range(1, n + 1):
+        mult[-k] = p_n(d * k + i) - sum(f * p_n(k + l)
+                                        for l, f in mult.items())
+    mult[-n - 1] = _hn_line(i, n)
+    for l, f in mult.items():
         if f < 0:
             raise AssertionError(f"negative multiplicity f({l}) = {f}")
-        mult[l] = f
-    for x in range(n + 2, n + 2 + extra_points):
-        lhs = sum(mult[l] * p_n(x + l) for l in supports)
+    for x in (0, *range(n + 1, n + 5)):
+        lhs = sum(f * p_n(x + l) for l, f in mult.items())
         if lhs != p_n(d * x + i):
             raise AssertionError(
                 f"Euler-characteristic identity fails at sample x = {x}")

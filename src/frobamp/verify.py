@@ -31,9 +31,9 @@ class CheckResult:
     detail: str
 
 
-def _check(name, fn):
+def _check(name, fn, *args):
     try:
-        detail = fn()
+        detail = fn(*args)
         return CheckResult(name, True, detail or "ok")
     except AssertionError as exc:
         return CheckResult(name, False, str(exc) or "assertion failed")
@@ -96,125 +96,105 @@ def _schur_weyl():
 
 
 def _bott_agreement(p):
-    def run():
-        for j in range(3):
-            module = catalog.form_bundle(p, 2, j)
-            for d in range(-4, 3):
-                for i in range(3):
-                    got = sheaf_cohomology(module, i, d)
-                    want = bott_oracle(2, j, d, i)
-                    assert got == want, \
-                        f"h^{i}(forms^{j}({d})): {got} != {want}"
-        return "n=2, d in [-4,2]"
-    return run
+    for j in range(3):
+        module = catalog.form_bundle(p, 2, j)
+        for d in range(-4, 3):
+            for i in range(3):
+                got = sheaf_cohomology(module, i, d)
+                want = bott_oracle(2, j, d, i)
+                assert got == want, \
+                    f"h^{i}(forms^{j}({d})): {got} != {want}"
+    return "n=2, d in [-4,2]"
 
 
 def _amplitudes(p):
-    def run():
-        assert f_amplitude(catalog.line_bundle(p, 2, 1)).phi == 0
-        assert f_amplitude(catalog.structure_sheaf(p, 2)).phi == 2
-        rep = f_amplitude(catalog.tangent_bundle(p, 2))
-        assert rep.phi == 1, f"phi(T) = {rep.phi}"
-        assert rep.witness_table.cell(1, -3) == 1
-        return "phi(O(1)), phi(O), phi(T) = 0, 2, 1"
-    return run
+    assert f_amplitude(catalog.line_bundle(p, 2, 1)).phi == 0
+    assert f_amplitude(catalog.structure_sheaf(p, 2)).phi == 2
+    rep = f_amplitude(catalog.tangent_bundle(p, 2))
+    assert rep.phi == 1, f"phi(T) = {rep.phi}"
+    assert rep.witness_table.cell(1, -3) == 1
+    return "phi(O(1)), phi(O), phi(T) = 0, 2, 1"
 
 
 def _regularities(p):
-    def run():
-        for d in range(-2, 3):
-            got = regularity(catalog.line_bundle(p, 2, d)).sheaf_regularity
-            assert got == -d, f"reg(O({d})) = {got}"
-        got = regularity(catalog.point_ideal(p)).sheaf_regularity
-        assert got == 1, f"reg(point ideal) = {got}"
-        return "line bundles and point ideal"
-    return run
+    for d in range(-2, 3):
+        got = regularity(catalog.line_bundle(p, 2, d)).sheaf_regularity
+        assert got == -d, f"reg(O({d})) = {got}"
+    got = regularity(catalog.point_ideal(p)).sheaf_regularity
+    assert got == 1, f"reg(point ideal) = {got}"
+    return "line bundles and point ideal"
 
 
 def _minreg(p):
-    def run():
-        rep = minreg_areg(catalog.line_bundle(p, 2, -1), 2)
-        want = (1, p, p * p)
-        assert rep.regularities == want, f"{rep.regularities} != {want}"
-        assert rep.trend == "increasing"
-        return f"sequence {want}, diverging"
-    return run
+    rep = minreg_areg(catalog.line_bundle(p, 2, -1), 2)
+    want = (1, p, p * p)
+    assert rep.regularities == want, f"{rep.regularities} != {want}"
+    assert rep.trend == "increasing"
+    return f"sequence {want}, diverging"
 
 
 def _neg1_regular(p):
-    def run():
-        from .modules import tensor
-        f_ample = [catalog.line_bundle(p, 2, 1), catalog.line_bundle(p, 2, 2),
-                   tensor(catalog.tangent_bundle(p, 2),
-                          catalog.line_bundle(p, 2, 1))]
-        for m in f_ample:
-            assert f_amplitude(m).phi == 0
-            reg = regularity(m).sheaf_regularity
-            assert reg is not None and reg <= -1, f"reg = {reg}"
-        return "3 cases"
-    return run
+    from .modules import tensor
+    f_ample = [catalog.line_bundle(p, 2, 1), catalog.line_bundle(p, 2, 2),
+               tensor(catalog.tangent_bundle(p, 2),
+                      catalog.line_bundle(p, 2, 1))]
+    for m in f_ample:
+        assert f_amplitude(m).phi == 0
+        reg = regularity(m).sheaf_regularity
+        assert reg is not None and reg <= -1, f"reg = {reg}"
+    return "3 cases"
 
 
 def _euler_sequence(p):
-    def run():
-        h1, h2 = catalog.euler_sequence(p, 2)
-        rep = check_exact_sequence_bounds(h1, h2)
-        assert rep.phis == (2, 0, 1), str(rep.phis)
-        assert rep.inequality_holds
-        return "phis (2, 0, 1)"
-    return run
+    h1, h2 = catalog.euler_sequence(p, 2)
+    rep = check_exact_sequence_bounds(h1, h2)
+    assert rep.phis == (2, 0, 1), str(rep.phis)
+    assert rep.inequality_holds
+    return "phis (2, 0, 1)"
 
 
 def _tensor_subadditivity(p):
-    def run():
-        t = catalog.tangent_bundle(p, 2)
-        o1 = catalog.line_bundle(p, 2, 1)
-        for left, right in ((t, o1), (t, t)):
-            rep = check_tensor_subadditivity(left, right)
-            assert rep.inequality_holds, str(rep)
-        return "2 pairs"
-    return run
+    t = catalog.tangent_bundle(p, 2)
+    o1 = catalog.line_bundle(p, 2, 1)
+    for left, right in ((t, o1), (t, t)):
+        rep = check_tensor_subadditivity(left, right)
+        assert rep.inequality_holds, str(rep)
+    return "2 pairs"
 
 
 def _ample_bounds(p):
-    def run():
-        for name, m in catalog.ample_examples(p):
-            rep = check_rank_and_dimension_bounds(m)
-            assert rep.dim_bound_holds, name
-        return f"{len(catalog.ample_examples(p))} bundles"
-    return run
+    for name, m in catalog.ample_examples(p):
+        rep = check_rank_and_dimension_bounds(m)
+        assert rep.dim_bound_holds, name
+    return f"{len(catalog.ample_examples(p))} bundles"
 
 
 def _serre_duality(p):
-    def run():
-        o = catalog.structure_sheaf(p, 2)
-        for d in range(-5, 3):
-            assert (sheaf_cohomology(o, 0, d)
-                    == sheaf_cohomology(o, 2, -d - 3))
-        t = catalog.tangent_bundle(p, 2)
-        forms = catalog.form_bundle(p, 2, 1)
-        for d in range(-4, 3):
-            for i in range(3):
-                assert (sheaf_cohomology(t, i, d)
-                        == sheaf_cohomology(forms, 2 - i, -d - 3)), (i, d)
-        return "structure sheaf and tangent/forms pairing"
-    return run
+    o = catalog.structure_sheaf(p, 2)
+    for d in range(-5, 3):
+        assert (sheaf_cohomology(o, 0, d)
+                == sheaf_cohomology(o, 2, -d - 3))
+    t = catalog.tangent_bundle(p, 2)
+    forms = catalog.form_bundle(p, 2, 1)
+    for d in range(-4, 3):
+        for i in range(3):
+            assert (sheaf_cohomology(t, i, d)
+                    == sheaf_cohomology(forms, 2 - i, -d - 3)), (i, d)
+    return "structure sheaf and tangent/forms pairing"
 
 
 def _groebner_soundness(p):
-    def run():
-        for module in (catalog.point_ideal(p), catalog.tangent_bundle(p, 2),
-                       catalog.form_bundle(p, 2, 1)):
-            gb = module.column_groebner()
-            assert buchberger_criterion_holds(
-                gb, module.presentation.target_twists, p)
-            res = minimal_resolution(module)
-            assert res.compositions_are_zero()
-            assert res.is_minimal()
-            assert res.degreewise_exact()
-            assert res.length <= module.num_vars - 1 + 1
-        return "3 modules"
-    return run
+    for module in (catalog.point_ideal(p), catalog.tangent_bundle(p, 2),
+                   catalog.form_bundle(p, 2, 1)):
+        gb = module.column_groebner()
+        assert buchberger_criterion_holds(
+            gb, module.presentation.target_twists, p)
+        res = minimal_resolution(module)
+        assert res.compositions_are_zero()
+        assert res.is_minimal()
+        assert res.degreewise_exact()
+        assert res.length <= module.num_vars - 1 + 1
+    return "3 modules"
 
 
 def run_verify(primes=(2, 3, 5)):
@@ -229,15 +209,15 @@ def run_verify(primes=(2, 3, 5)):
     ]
     for p in primes:
         results.extend([
-            _check(f"bott-agreement[p={p}]", _bott_agreement(p)),
-            _check(f"amplitude-values[p={p}]", _amplitudes(p)),
-            _check(f"regularity-values[p={p}]", _regularities(p)),
-            _check(f"minreg-divergence[p={p}]", _minreg(p)),
-            _check(f"f-ample-implies-neg1-regular[p={p}]", _neg1_regular(p)),
-            _check(f"euler-sequence-bounds[p={p}]", _euler_sequence(p)),
-            _check(f"tensor-subadditivity[p={p}]", _tensor_subadditivity(p)),
-            _check(f"ample-bounds[p={p}]", _ample_bounds(p)),
-            _check(f"serre-duality[p={p}]", _serre_duality(p)),
-            _check(f"groebner-soundness[p={p}]", _groebner_soundness(p)),
+            _check(f"bott-agreement[p={p}]", _bott_agreement, p),
+            _check(f"amplitude-values[p={p}]", _amplitudes, p),
+            _check(f"regularity-values[p={p}]", _regularities, p),
+            _check(f"minreg-divergence[p={p}]", _minreg, p),
+            _check(f"f-ample-implies-neg1-regular[p={p}]", _neg1_regular, p),
+            _check(f"euler-sequence-bounds[p={p}]", _euler_sequence, p),
+            _check(f"tensor-subadditivity[p={p}]", _tensor_subadditivity, p),
+            _check(f"ample-bounds[p={p}]", _ample_bounds, p),
+            _check(f"serre-duality[p={p}]", _serre_duality, p),
+            _check(f"groebner-soundness[p={p}]", _groebner_soundness, p),
         ])
     return results

@@ -212,6 +212,22 @@ def test_out_of_memory_exits_2_naming_the_subcommand(capsys, monkeypatch):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_closed_stdout_exits_141_quietly():
+    # stdout is a pipe whose reader has already gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "frobamp.cli", "famp", "--format",
+             "structured", str(MODFILES / "tangent_p2.mod")],
+            cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert out.stderr == ""
+
+
 def test_exit_code_1_on_failed_checks(capsys, monkeypatch):
     import frobamp.cli as cli_module
     monkeypatch.setattr(

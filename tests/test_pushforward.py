@@ -1,7 +1,9 @@
 import random
+from math import comb
 
 import pytest
 
+from frobamp.linalg import solve_rational
 from frobamp.pushforward import (BinomialPoly, boundary_cases,
                                  minimal_full_support_degree,
                                  prime_power_root, splitting_oracle,
@@ -52,9 +54,31 @@ def test_solver_matches_oracle():
                     splitting_oracle(n, q, i).multiplicities
 
 
+def test_recurrence_matches_the_rational_solve():
+    # the full overdetermined system: the Euler rows at x = 0..n+1 and the
+    # section and top-cohomology pins, solved exactly over Q
+    cases = 0
+    for n in range(1, 5):
+        p_n = BinomialPoly(n)
+        supports = range(-n - 1, 1)
+        for d in range(2, 10):
+            for i in range(-d - n, d):
+                rows = [[p_n(x + l) for l in supports] for x in range(n + 2)]
+                rhs = [p_n(d * x + i) for x in range(n + 2)]
+                rows.append([int(l == 0) for l in supports])
+                rhs.append(comb(i + n, n) if i >= 0 else 0)
+                rows.append([int(l == -n - 1) for l in supports])
+                rhs.append(comb(-i - 1, n) if i <= -n - 1 else 0)
+                st = splitting_type(n, d, i).multiplicities
+                assert solve_rational(rows, rhs) == \
+                    [st.get(l, 0) for l in supports], (n, d, i)
+                cases += 1
+    assert cases == 432
+
+
 def test_identity_at_many_extra_points():
     p = BinomialPoly(2)
-    st = splitting_type(2, 5, -1, extra_points=10)
+    st = splitting_type(2, 5, -1)
     for x in range(4, 14):
         lhs = sum(f * BinomialPoly(2)(x + l)
                   for l, f in st.multiplicities.items())
