@@ -7,6 +7,11 @@ schema-stable and deterministic: the first record is always a ``meta``
 record carrying the tool version, the primes in effect, and a digest of the
 input; identical inputs produce byte-identical output.
 
+The argument parser is built once per process and reused by every
+``main`` call; ``main`` finds the handler ``_cmd_<subcommand>`` by name at
+call time.  Module-file commands load every module they need before the
+``meta`` record, so an input error leaves stdout empty.
+
 Exit codes: 0 on success, 1 when a requested assertion or check failed,
 2 on input errors (malformed module files, nonprime moduli, bad windows)
 and when a computation runs out of memory, and 141 (128 + SIGPIPE) with
@@ -16,6 +21,7 @@ nothing on stderr when the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -115,18 +121,14 @@ def _cmd_regularity(args, rep: Reporter):
     return 0
 
 
-def _famp_one(args, p):
-    module = _load(args, p)
-    checks = tuple(args.check_frobenius or ())
-    return module.prime, f_amplitude(module, frobenius_check=checks)
-
-
 def _cmd_famp(args, rep: Reporter):
+    # every module is loaded (and spot-checked) before anything is printed
     primes = _module_primes(args)
-    if not primes:
-        primes = [_load(args).prime]
-    rep.meta("famp", primes, file_digest(args.module))
-    results = [_famp_one(args, p) for p in primes]
+    modules = [_load(args, p) for p in primes] if primes else [_load(args)]
+    rep.meta("famp", [m.prime for m in modules], file_digest(args.module))
+    checks = tuple(args.check_frobenius or ())
+    results = [(m.prime, f_amplitude(m, frobenius_check=checks))
+               for m in modules]
     for p, report in results:
         rep.emit({"record": "famp", "prime": p, "phi": report.phi,
                   "f_ample": report.f_ample},
@@ -246,6 +248,7 @@ def _cmd_verify(args, rep: Reporter):
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="frobamp",
@@ -270,23 +273,19 @@ def build_parser():
     sp = sub.add_parser("cohomology", help="cohomology table over a window")
     sp.add_argument("--window", help="twist window lo..hi")
     common(sp)
-    sp.set_defaults(fn=_cmd_cohomology)
 
     sp = sub.add_parser("regularity", help="Castelnuovo-Mumford regularity")
     common(sp)
-    sp.set_defaults(fn=_cmd_regularity)
 
     sp = sub.add_parser("famp", help="F-amplitude (optionally multi-prime)")
     sp.add_argument("--check-frobenius", type=int, action="append",
                     metavar="E", help="re-verify phi on the E-th Frobenius "
                                       "pullback")
     common(sp)
-    sp.set_defaults(fn=_cmd_famp)
 
     sp = sub.add_parser("minreg", help="regularity of Frobenius pullbacks")
     sp.add_argument("--max-e", type=int, default=3)
     common(sp)
-    sp.set_defaults(fn=_cmd_minreg)
 
     sp = sub.add_parser("frobsplit",
                         help="splitting type of a pushforward of O(i)")
@@ -294,38 +293,34 @@ def build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--i", type=int, required=True)
     common(sp, module_arg=False, prime=False)
-    sp.set_defaults(fn=_cmd_frobsplit)
 
     sp = sub.add_parser("schur", help="Schur-module dimension")
     sp.add_argument("rank", type=int)
     sp.add_argument("partition", help='partition, e.g. "3,1"')
     common(sp, module_arg=False, prime=False)
-    sp.set_defaults(fn=_cmd_schur)
 
     sp = sub.add_parser("cl-check",
                         help="hook resolution dimension bookkeeping")
     sp.add_argument("rank", type=int)
     sp.add_argument("p", type=int)
     common(sp, module_arg=False, prime=False)
-    sp.set_defaults(fn=_cmd_cl_check)
 
     sp = sub.add_parser("resolve", help="minimal free resolution / Betti")
     common(sp)
-    sp.set_defaults(fn=_cmd_resolve)
 
     sp = sub.add_parser("verify", help="run the cross-check battery")
     common(sp, module_arg=False)
-    sp.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     rep = Reporter(structured=(args.format == "structured"))
+    # looked up per call, by name, so a patched handler is the one called
+    command = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        code = args.fn(args, rep)
+        code = command(args, rep)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

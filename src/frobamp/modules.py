@@ -478,10 +478,12 @@ def spot_check_constant_rank(pres: GradedMap):
     """Evaluate the presentation at rational points; constant rank expected.
 
     A locally free cokernel has constant corank at every point of projective
-    space; a rank drop at a rational point refutes the flag.  Returns
-    (status, detail): status is False on a refutation, True when the rank
-    is constant, and None when the check was skipped because the point
-    count exceeds ``MAX_SPOT_CHECK_POINTS``.
+    space; a rank drop at a rational point refutes the flag.  At each point
+    the columns become constant vectors {row: residue}, and their rank is
+    found by sparse elimination against monic pivot rows keyed by their
+    least row.  Returns (status, detail): status is False on a refutation,
+    True when the rank is constant, and None when the check was skipped
+    because the point count exceeds ``MAX_SPOT_CHECK_POINTS``.
     """
     if pres.source_rank == 0 or pres.target_rank == 0:
         return True, "free module"
@@ -491,20 +493,35 @@ def spot_check_constant_rank(pres: GradedMap):
     if count > MAX_SPOT_CHECK_POINTS:
         return None, (f"skipped ({count} points exceed "
                       f"{MAX_SPOT_CHECK_POINTS})")
-    zero = (0,) * nv
+    mods = (p,) * nv
     ranks = set()
     for pt in projective_points(nv, p):
-        # the columns at the point, as constant vectors; their reduced
-        # Groebner basis is an echelon form, one element per pivot
-        cols = []
+        pivots = {}  # least row -> monic row vector; one per rank
+        values = {}  # exponent tuple -> monomial value at the point
         for vec in pres.columns:
             col = {}
             for (exps, r), v in vec.items():
-                at = prod(pow(x, e, p) for x, e in zip(pt, exps))
+                at = values.get(exps)
+                if at is None:
+                    at = values[exps] = prod(map(pow, pt, exps, mods))
                 col[r] = (col.get(r, 0) + v * at) % p
-            cols.append({(zero, r): v for r, v in col.items() if v})
-        ranks.add(len(groebner.buchberger(cols, (0,) * pres.target_rank,
-                                          p)))
+            col = {r: v for r, v in col.items() if v}
+            # a pivot row is zero before its lead, so one pass in
+            # increasing lead order clears every lead the column has
+            for lead in sorted(pivots):
+                c = col.get(lead)
+                if c:
+                    for r, v in pivots[lead].items():
+                        w = (col.get(r, 0) - c * v) % p
+                        if w:
+                            col[r] = w
+                        else:
+                            del col[r]
+            if col:
+                lead = min(col)
+                inv = pow(col[lead], p - 2, p)
+                pivots[lead] = {r: v * inv % p for r, v in col.items()}
+        ranks.add(len(pivots))
     if len(ranks) > 1:
         return False, f"presentation rank varies over points: {sorted(ranks)}"
     return True, f"constant rank {ranks.pop()} at {count} points"

@@ -286,3 +286,127 @@ assert "numpy" not in sys.modules, "numpy was imported"
                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_famp_input_error_leaves_stdout_empty(capsys):
+    # 4*x1 is 0 mod 2, so the spot check refutes the flag at p = 2; famp
+    # loads every module before its meta record, as regularity does
+    path = str(MODFILES / "cotangent_p2.mod")
+    for argv in (("famp", "-p", "2"), ("famp", "-p", "3", "-p", "2"),
+                 ("regularity", "-p", "2")):
+        code, out, err = run(capsys, *argv, "--format", "structured", path)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err == ("error: locally-free spot check failed: presentation "
+                       "rank varies over points: [0, 1]\n"), argv
+
+
+def test_famp_loads_each_module_once(capsys, monkeypatch):
+    import frobamp.cli as cli_module
+    loads = []
+    load_module = cli_module.load_module
+
+    def counting_load(path, prime=None):
+        loads.append(prime)
+        return load_module(path, prime=prime)
+
+    monkeypatch.setattr(cli_module, "load_module", counting_load)
+    path = str(MODFILES / "tangent_p2.mod")
+    for argv, primes in ((("famp",), [None]),
+                         (("famp", "-p", "3", "-p", "5"), [3, 5])):
+        loads.clear()
+        assert run(capsys, *argv, path)[0] == 0
+        assert loads == primes, argv
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, argparse exits
+    included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_per_process_leaks_nothing(capsys, monkeypatch):
+    import frobamp.cli as cli_module
+    assert cli_module.build_parser() is cli_module.build_parser()
+    path = str(MODFILES / "tangent_p2.mod")
+    sequence = (
+        ("famp", "-p", "3", "-p", "5", path), ("famp", path),
+        ("famp", "--check-frobenius", "1", path), ("famp", path),
+        ("famp", "-p", "3", "--check-frobenius", "x", path), ("famp", path),
+    )
+    in_sequence = [_outcome(capsys, argv) for argv in sequence]
+    assert in_sequence[4][0] == 2 and "invalid int value" in in_sequence[4][2]
+    parsed = cli_module.build_parser().parse_args(["famp", path])
+    assert parsed.prime is None and parsed.check_frobenius is None
+    # each call alone: a new parser for every call
+    monkeypatch.setattr(cli_module, "build_parser",
+                        cli_module.build_parser.__wrapped__)
+    alone = [_outcome(capsys, argv) for argv in sequence]
+    assert in_sequence == alone
+
+
+# a field dropped, a wrong type, an inhomogeneous entry, a bad exponent, a
+# boolean where an integer belongs (or the reverse), an unknown field
+def _mutate(rng, doc):
+    kind = rng.choice(("drop", "type", "inhomogeneous", "exponent", "bool",
+                       "unknown"))
+    matrix = doc.get("matrix")  # an earlier mutation may have changed it
+    cells = [(r, c) for r, row in enumerate(matrix) if isinstance(row, list)
+             for c in range(len(row))] if isinstance(matrix, list) else []
+    if kind == "drop":
+        del doc[rng.choice(sorted(doc))]
+    elif kind == "type":
+        doc[rng.choice(sorted(doc))] = rng.choice(
+            ("x0", 3.5, None, {}, [[]], [None], "5", [1.5], -1, 0))
+    elif kind in ("inhomogeneous", "exponent") and cells:
+        r, c = rng.choice(cells)
+        doc["matrix"][r][c] = rng.choice(
+            ("x0 + x1^2", "x0*x1 + x2", "x0^2", "1")
+            if kind == "inhomogeneous" else
+            ("x0^-1", "x0^1.5", "x0^", "x0^99999999999999999999", "x9",
+             "y0", "x0^x1", "", "+", "x0 -"))
+    elif kind == "bool":
+        key = rng.choice(("prime", "num_vars", "target_twists",
+                          "source_twists", "locally_free"))
+        if key == "locally_free":
+            doc[key] = rng.choice((0, 1))
+        elif key.endswith("twists"):
+            doc[key] = [rng.choice((True, False))]
+        else:
+            doc[key] = True
+    else:
+        doc[rng.choice(("extra", "primes", "locally-free"))] = 1
+    return doc
+
+
+def test_fuzzed_module_files_exit_cleanly(capsys, tmp_path):
+    import copy
+    import random
+    import re
+
+    import yaml
+    rng = random.Random(20021)
+    docs = [yaml.safe_load(f.read_text())
+            for f in sorted(MODFILES.glob("*.mod"))]
+    path = tmp_path / "fuzz.mod"
+    codes, errors = [], set()
+    for k in range(80):
+        doc = copy.deepcopy(docs[k % len(docs)])
+        for _ in range(rng.choice((1, 1, 2))):
+            doc = _mutate(rng, doc)
+        path.write_text(yaml.safe_dump(doc))
+        for command in ("famp", "regularity", "resolve"):
+            code, out, err = run(capsys, command, str(path))
+            codes.append(code)
+            assert code in (0, 1, 2), (doc, command)
+            if code == 2:
+                assert out == "", (doc, command)
+                assert re.fullmatch(r"error: [^\n]*\n", err), (doc, command)
+                errors.add(err)
+    # the mutants reach many checks, and a few still load
+    assert len(errors) >= 10 and 0 in codes

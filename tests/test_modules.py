@@ -1,10 +1,14 @@
+import itertools
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import PRIMES, dual_rank_modules
+from strategies import PRIMES, dual_rank_modules, plane_modules
 
 from frobamp import catalog, modules
 from frobamp.cohomology import cokernel_series, sheaf_cohomology
+from frobamp.linalg import rank_mod
 from frobamp.modules import (GradedMap, GradedModule, direct_sum,
                              frobenius_module, projective_points,
                              restrict_hyperplane, spot_check_constant_rank,
@@ -319,3 +323,38 @@ def test_compose_is_the_matrix_product_and_entries_round_trip(maps):
     for m in (a, b, ab):
         assert GradedMap(m.prime, m.num_vars, m.target_twists,
                          m.source_twists, m.entries) == m
+
+
+@st.composite
+def spot_check_presentations(draw):
+    """The presentation of a random plane module, or a small random matrix
+    on P^1..P^3; zero entries occur."""
+    if draw(st.booleans()):
+        return draw(plane_modules()).presentation
+    p = draw(st.sampled_from(PRIMES))
+    nv = draw(st.integers(2, 4))
+    targets = tuple(draw(st.lists(st.integers(0, 1), min_size=1,
+                                  max_size=3)))
+    sources = tuple(draw(st.lists(st.integers(0, 2), min_size=1,
+                                  max_size=3)))
+    return GradedMap(p, nv, targets, sources,
+                     draw(_matrix(p, nv, targets, sources)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(spot_check_presentations())
+def test_spot_check_matches_dense_ranks_at_every_point(pres):
+    # the oracle evaluates the MultiPoly entries into a dense matrix at
+    # each point of P^n(F_p) and ranks it with numpy
+    p = pres.prime
+    points = [v for v in itertools.product(range(p), repeat=pres.num_vars)
+              if any(v) and next(x for x in v if x) == 1]
+    ranks = sorted({
+        rank_mod([[sum(c * prod(x ** e for x, e in zip(pt, exps))
+                       for exps, c in f.terms.items()) % p for f in row]
+                  for row in pres.entries], p)
+        for pt in points})
+    assert spot_check_constant_rank(pres) == (
+        (True, f"constant rank {ranks[0]} at {len(points)} points")
+        if len(ranks) == 1 else
+        (False, f"presentation rank varies over points: {ranks}"))
